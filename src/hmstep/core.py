@@ -22,13 +22,20 @@ def as_rat(value: int | str | Rat) -> Rat:
     """Coerce an int, a ``"p/q"`` string, or a Fraction to an exact rational.
 
     Floats are rejected on purpose: a float argument is a bug in the caller.
+    Malformed text raises ValueError, a zero denominator included. So does
+    exponent notation, since "1e999999999" would build a billion-digit integer.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if "e" in value.lower():
+            raise ValueError(f"exponent notation is not an exact rational literal: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -7,13 +7,18 @@ values any lawful multiplication is forced to take, and probes continuity by
 driving the bump tower toward its limit while watching the images. Every
 check is an exact rational comparison; reports record concrete witnesses
 for each failure.
+
+A sampled suite is one trial generator run by ``_run_suite``: the runner owns
+the seeded stream, the sample loop and the report, and the trial draws one
+sample from the stream and yields a failure for each check that does not hold.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from itertools import product as iter_product
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from itertools import count, product as iter_product
 
 from .core import (
     FULL_WINDOW,
@@ -41,6 +46,8 @@ from .hm import (
 )
 from .stepfn import (
     StepFn,
+    as_rng,
+    blocks,
     canonicalize,
     format_stepfn,
     random_stepfn,
@@ -52,7 +59,6 @@ from .tower import (
     MuCandidate,
     StepFn2,
     d_hm2,
-    diagonal_flatten,
     eta_h,
     h2_map,
     h_eta,
@@ -116,6 +122,11 @@ class ProbeRow:
     coordinate_distance: Rat
     metric_distance: Rat
     image_gap: Rat
+
+    @property
+    def holds(self) -> bool:
+        """The obstruction at n: image gap 1 at level-2 distance 1/n."""
+        return self.image_gap == ONE and self.metric_distance == Rat(1, self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -187,13 +198,9 @@ class Witnesses:
     equality_collapse: SpaceMap
 
 
-def _block_grid(n: int) -> tuple[Rat, ...]:
-    return tuple(Rat(i, n) for i in range(n + 1))
-
-
 def staircase_fn(n: int) -> StepFn:
     """Value i on [(i-1)/n, i/n) over the n-point base."""
-    return canonicalize(StepFn(_block_grid(n), tuple(range(1, n + 1))))
+    return blocks(range(1, n + 1))
 
 
 def bump_fn(i: int, n: int) -> StepFn:
@@ -204,7 +211,7 @@ def bump_fn(i: int, n: int) -> StepFn:
 
 def nested_bumps_fn(n: int) -> StepFn2:
     """Block i carries the i-th bump; the tower the probe drives to its limit."""
-    return canonicalize(StepFn(_block_grid(n), tuple(bump_fn(i, n) for i in range(1, n + 1))))
+    return blocks(bump_fn(i, n) for i in range(1, n + 1))
 
 
 def build_witnesses(n: int) -> Witnesses:
@@ -220,16 +227,10 @@ def build_witnesses(n: int) -> Witnesses:
     equality_collapse = SpaceMap(
         pairs, two_point, tuple(1 if a == b else 0 for a, b in pairs.labels)
     )
-    grid = _block_grid(n)
     staircase = staircase_fn(n)
-    diagonal_staircase = canonicalize(
-        StepFn(grid, tuple((i, i) for i in range(1, n + 1)))
-    )
-    row_staircases = tuple(
-        canonicalize(StepFn(grid, tuple((i, j) for j in range(1, n + 1))))
-        for i in range(1, n + 1)
-    )
-    nested_rows = canonicalize(StepFn(grid, row_staircases))
+    diagonal_staircase = blocks((i, i) for i in range(1, n + 1))
+    row_staircases = tuple(blocks((i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
+    nested_rows = blocks(row_staircases)
     bumps = tuple(bump_fn(i, n) for i in range(1, n + 1))
     nested_bumps = nested_bumps_fn(n)
     if (
@@ -260,8 +261,11 @@ def build_witnesses(n: int) -> Witnesses:
 # seeded sample plumbing
 
 
-def _rng(seed: int | random.Random) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
+def _run_suite(law: str, samples: int, seed: int, trial: Callable, candidate: str | None = None) -> LawReport:
+    """Run ``trial`` once per sample on one seeded stream and collect its failures."""
+    rng = as_rng(seed)
+    failures = tuple(failure for _ in range(samples) for failure in trial(rng))
+    return LawReport(candidate, law, samples, failures)
 
 
 def _random_window(rng: random.Random, max_den: int = 12) -> Window:
@@ -280,12 +284,6 @@ def _random_testfn(rng: random.Random, space: FiniteSpace, lo: int = -3, hi: int
     den = rng.randint(1, 12)
     vals = tuple(Rat(rng.randint(lo * den, hi * den), den) for _ in range(space.n))
     return TestFn(space, vals)
-
-
-def _random_unit_testfn(rng: random.Random, space: FiniteSpace) -> TestFn:
-    # values in [0, 1]
-    den = rng.randint(1, 12)
-    return TestFn(space, tuple(Rat(rng.randint(0, den), den) for _ in range(space.n)))
 
 
 def _space_tag(space: FiniteSpace) -> str:
@@ -326,9 +324,7 @@ def default_spaces(max_size: int = 4) -> list[FiniteSpace]:
 
 def check_linearity(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """Window averages are linear in the test function."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         phi1 = _random_testfn(rng, space)
@@ -342,22 +338,19 @@ def check_linearity(spaces: list[FiniteSpace], samples: int, seed: int, grid: in
             Functional(phi2, w), f
         )
         if left != right:
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
-                    f"lams=({lam1},{lam2}) phi1={phi1.values} phi2={phi2.values}",
-                    expected=str(right),
-                    actual=str(left),
-                )
+            yield LawFailure(
+                input=f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
+                f"lams=({lam1},{lam2}) phi1={phi1.values} phi2={phi2.values}",
+                expected=str(right),
+                actual=str(left),
             )
-    return LawReport(None, "linearity", samples, tuple(failures))
+
+    return _run_suite("linearity", samples, seed, trial)
 
 
 def check_monotonicity(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """Window averages respect pointwise order of test functions."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         phi1 = _random_testfn(rng, space)
@@ -367,22 +360,19 @@ def check_monotonicity(spaces: list[FiniteSpace], samples: int, seed: int, grid:
         low = functional_eval(Functional(phi1, w), f)
         high = functional_eval(Functional(phi2, w), f)
         if low > high:
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
-                    f"phi1={phi1.values} phi2={phi2.values}",
-                    expected=f"<= {high}",
-                    actual=str(low),
-                )
+            yield LawFailure(
+                input=f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
+                f"phi1={phi1.values} phi2={phi2.values}",
+                expected=f"<= {high}",
+                actual=str(low),
             )
-    return LawReport(None, "monotonicity", samples, tuple(failures))
+
+    return _run_suite("monotonicity", samples, seed, trial)
 
 
 def check_coordinate_naturality(samples: int, seed: int, grid: int = 12) -> LawReport:
     """Averaging phi after a point map equals averaging phi∘map before it."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         src = make_discrete_space(rng.randint(1, 5))
         dst = make_discrete_space(rng.randint(1, 5))
         h = SpaceMap(src, dst, tuple(rng.choice(dst.labels) for _ in src.labels))
@@ -392,43 +382,37 @@ def check_coordinate_naturality(samples: int, seed: int, grid: int = 12) -> LawR
         left = functional_eval(Functional(phi, w), hm_map(h, f))
         right = functional_eval(Functional(compose_testfn(phi, h), w), f)
         if left != right:
-            failures.append(
-                LawFailure(
-                    input=f"map={h.assignment} f={format_stepfn(f)} window=({w.a},{w.b}) "
-                    f"phi={phi.values}",
-                    expected=str(right),
-                    actual=str(left),
-                )
+            yield LawFailure(
+                input=f"map={h.assignment} f={format_stepfn(f)} window=({w.a},{w.b}) "
+                f"phi={phi.values}",
+                expected=str(right),
+                actual=str(left),
             )
-    return LawReport(None, "coordinate-naturality", samples, tuple(failures))
+
+    return _run_suite("coordinate-naturality", samples, seed, trial)
 
 
 def check_unit_coordinate(spaces: list[FiniteSpace], samples: int, seed: int) -> LawReport:
     """Every window average of a constant function returns the test value."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         x = rng.choice(space.labels)
         phi = _random_testfn(rng, space)
         w = _random_window(rng)
         got = functional_eval(Functional(phi, w), unit(x, space))
         if got != phi(x):
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} x={x} window=({w.a},{w.b}) phi={phi.values}",
-                    expected=str(phi(x)),
-                    actual=str(got),
-                )
+            yield LawFailure(
+                input=f"{_space_tag(space)} x={x} window=({w.a},{w.b}) phi={phi.values}",
+                expected=str(phi(x)),
+                actual=str(got),
             )
-    return LawReport(None, "unit-coordinate", samples, tuple(failures))
+
+    return _run_suite("unit-coordinate", samples, seed, trial)
 
 
 def check_support_criterion(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """The window-indicator criterion agrees with a direct piece scan."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         size = rng.randint(1, space.n)
@@ -436,35 +420,31 @@ def check_support_criterion(spaces: list[FiniteSpace], samples: int, seed: int, 
         got = support_criterion_check(space, f, b_set)
         expected = support(f) <= b_set
         if got != expected:
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} f={format_stepfn(f)} B={sorted(map(str, b_set))}",
-                    expected=str(expected),
-                    actual=str(got),
-                )
+            yield LawFailure(
+                input=f"{_space_tag(space)} f={format_stepfn(f)} B={sorted(map(str, b_set))}",
+                expected=str(expected),
+                actual=str(got),
             )
-    return LawReport(None, "support-criterion", samples, tuple(failures))
+
+    return _run_suite("support-criterion", samples, seed, trial)
 
 
 def check_support_membership(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """The witness-level membership test agrees with a direct piece scan."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         x = rng.choice(space.labels)
         got = support_membership_check(space, f, x)
         expected = x in support(f)
         if got != expected:
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} f={format_stepfn(f)} x={x}",
-                    expected=str(expected),
-                    actual=str(got),
-                )
+            yield LawFailure(
+                input=f"{_space_tag(space)} f={format_stepfn(f)} x={x}",
+                expected=str(expected),
+                actual=str(got),
             )
-    return LawReport(None, "support-membership", samples, tuple(failures))
+
+    return _run_suite("support-membership", samples, seed, trial)
 
 
 def _split_variant(f: StepFn, rng: random.Random) -> StepFn:
@@ -478,67 +458,54 @@ def _split_variant(f: StepFn, rng: random.Random) -> StepFn:
     return StepFn(bps, vals)
 
 
-def check_metric_axioms(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
-    """Level-1 metric: identity, symmetry, nonnegativity, triangle, and
-    zero-iff-same-class, each on a random triple per sample."""
-    rng = _rng(seed)
-    failures = []
+def _metric_axioms(
+    law: str, metric: Callable, sample: Callable, letters: str, self_label: str, spaces: list, samples: int, seed: int
+) -> LawReport:
+    """Identity, symmetry, nonnegativity, zero-iff-same-class and triangle
+    for ``metric`` on one random triple per sample. Every fourth sample
+    pairs the first function with a split copy of itself, so the zero case
+    is exercised; ``letters`` name the triple in failure text."""
+    index = count()
 
-    def fail(tag: str, detail: str, expected: str, actual: str) -> None:
-        failures.append(LawFailure(input=f"{tag} {detail}", expected=expected, actual=actual))
-
-    for k in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
-        f = random_stepfn(space, rng.randint(1, grid), rng)
-        if k % 4 == 0:
-            g: StepFn = _split_variant(f, rng)
-        else:
-            g = random_stepfn(space, rng.randint(1, grid), rng)
-        h = random_stepfn(space, rng.randint(1, grid), rng)
-        tag = f"{_space_tag(space)} f={format_stepfn(f)} g={format_stepfn(g)} h={format_stepfn(h)}"
-        dfg = d_hm(space, f, g)
-        if d_hm(space, f, f) != ZERO:
-            fail(tag, "d(f,f)", "0", str(d_hm(space, f, f)))
-        if dfg != d_hm(space, g, f):
-            fail(tag, "symmetry", str(dfg), str(d_hm(space, g, f)))
+        f = sample(space, rng)
+        g = _split_variant(f, rng) if next(index) % 4 == 0 else sample(space, rng)
+        h = sample(space, rng)
+
+        def fail(detail: str, expected: str, actual: str) -> LawFailure:
+            named = " ".join(f"{a}={format_stepfn(x)}" for a, x in zip(letters, (f, g, h)))
+            return LawFailure(f"{_space_tag(space)} {named} {detail}", expected, actual)
+
+        dfg = metric(space, f, g)
+        dff = metric(space, f, f)
+        if dff != ZERO:
+            yield fail(self_label, "0", str(dff))
+        dgf = metric(space, g, f)
+        if dfg != dgf:
+            yield fail("symmetry", str(dfg), str(dgf))
         if dfg < ZERO:
-            fail(tag, "nonnegativity", ">= 0", str(dfg))
-        if (dfg == ZERO) != (canonicalize(f) == canonicalize(g)):
-            fail(tag, "zero-iff-same-class", str(canonicalize(f) == canonicalize(g)), str(dfg == ZERO))
-        if d_hm(space, f, h) > dfg + d_hm(space, g, h):
-            fail(tag, "triangle", f"<= {dfg + d_hm(space, g, h)}", str(d_hm(space, f, h)))
-    return LawReport(None, "metric-axioms-level1", samples, tuple(failures))
+            yield fail("nonnegativity", ">= 0", str(dfg))
+        same = canonicalize(f) == canonicalize(g)
+        if (dfg == ZERO) != same:
+            yield fail("zero-iff-same-class", str(same), str(dfg == ZERO))
+        dfh, dgh = metric(space, f, h), metric(space, g, h)
+        if dfh > dfg + dgh:
+            yield fail("triangle", f"<= {dfg + dgh}", str(dfh))
+
+    return _run_suite(law, samples, seed, trial)
+
+
+def check_metric_axioms(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
+    """Level-1 metric: the five axioms on random step functions."""
+    sample = lambda space, rng: random_stepfn(space, rng.randint(1, grid), rng)
+    return _metric_axioms("metric-axioms-level1", d_hm, sample, "fgh", "d(f,f)", spaces, samples, seed)
 
 
 def check_metric_axioms_level2(spaces: list[FiniteSpace], samples: int, seed: int) -> LawReport:
-    """Level-2 metric: same axioms on random nested triples."""
-    rng = _rng(seed)
-    failures = []
-
-    def fail(tag: str, detail: str, expected: str, actual: str) -> None:
-        failures.append(LawFailure(input=f"{tag} {detail}", expected=expected, actual=actual))
-
-    for k in range(samples):
-        space = rng.choice(spaces)
-        F = random_stepfn2(space, rng.randint(1, 4), 4, rng)
-        if k % 4 == 0:
-            G: StepFn = _split_variant(F, rng)
-        else:
-            G = random_stepfn2(space, rng.randint(1, 4), 4, rng)
-        H = random_stepfn2(space, rng.randint(1, 4), 4, rng)
-        tag = f"{_space_tag(space)} F={format_stepfn(F)} G={format_stepfn(G)} H={format_stepfn(H)}"
-        dfg = d_hm2(space, F, G)
-        if d_hm2(space, F, F) != ZERO:
-            fail(tag, "d2(F,F)", "0", str(d_hm2(space, F, F)))
-        if dfg != d_hm2(space, G, F):
-            fail(tag, "symmetry", str(dfg), str(d_hm2(space, G, F)))
-        if dfg < ZERO:
-            fail(tag, "nonnegativity", ">= 0", str(dfg))
-        if (dfg == ZERO) != (canonicalize(F) == canonicalize(G)):
-            fail(tag, "zero-iff-same-class", str(canonicalize(F) == canonicalize(G)), str(dfg == ZERO))
-        if d_hm2(space, F, H) > dfg + d_hm2(space, G, H):
-            fail(tag, "triangle", f"<= {dfg + d_hm2(space, G, H)}", str(d_hm2(space, F, H)))
-    return LawReport(None, "metric-axioms-level2", samples, tuple(failures))
+    """Level-2 metric: the same axioms on random nested triples."""
+    sample = lambda space, rng: random_stepfn2(space, rng.randint(1, 4), 4, rng)
+    return _metric_axioms("metric-axioms-level2", d_hm2, sample, "FGH", "d2(F,F)", spaces, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -549,30 +516,18 @@ def check_unit_laws(
     mu: MuCandidate, spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 8
 ) -> LawReport:
     """Flattening either nesting of the unit must return the function."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
-        inner = mu(h_eta(f))
-        if inner != f:
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} unit-inside f={format_stepfn(f)}",
+        for side, flat in (("inside", mu(h_eta(f))), ("outside", mu(eta_h(f)))):
+            if flat != f:
+                yield LawFailure(
+                    input=f"{_space_tag(space)} unit-{side} f={format_stepfn(f)}",
                     expected=format_stepfn(f),
-                    actual=format_stepfn(inner),
+                    actual=format_stepfn(flat),
                 )
-            )
-        outer = mu(eta_h(f))
-        if outer != f:
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} unit-outside f={format_stepfn(f)}",
-                    expected=format_stepfn(f),
-                    actual=format_stepfn(outer),
-                )
-            )
-    return LawReport(mu.name, "unit-laws", samples, tuple(failures))
+
+    return _run_suite("unit-laws", samples, seed, trial, mu.name)
 
 
 def check_associativity(
@@ -580,29 +535,24 @@ def check_associativity(
 ) -> LawReport:
     """Flattening the outer two levels first or the inner two levels first
     must agree on random level-3 functions."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         F3 = random_stepfn3(space, rng.randint(1, grid), grid, grid, rng)
         outer_first = mu(mu(F3))
         inner_first = mu(mu.lift(F3))
         if outer_first != inner_first:
-            failures.append(
-                LawFailure(
-                    input=f"{_space_tag(space)} F3={format_stepfn(F3)}",
-                    expected=format_stepfn(outer_first),
-                    actual=format_stepfn(inner_first),
-                )
+            yield LawFailure(
+                input=f"{_space_tag(space)} F3={format_stepfn(F3)}",
+                expected=format_stepfn(outer_first),
+                actual=format_stepfn(inner_first),
             )
-    return LawReport(mu.name, "associativity", samples, tuple(failures))
+
+    return _run_suite("associativity", samples, seed, trial, mu.name)
 
 
 def check_naturality(mu: MuCandidate, map_samples: int, seed: int, grid: int = 4) -> LawReport:
     """Flattening must commute with the functor action of any point map."""
-    rng = _rng(seed)
-    failures = []
-    for _ in range(map_samples):
+    def trial(rng: random.Random) -> Iterator[LawFailure]:
         src = make_discrete_space(rng.randint(1, 4))
         dst = make_discrete_space(rng.randint(1, 4))
         h = SpaceMap(src, dst, tuple(rng.choice(dst.labels) for _ in src.labels))
@@ -610,14 +560,13 @@ def check_naturality(mu: MuCandidate, map_samples: int, seed: int, grid: int = 4
         left = mu(h2_map(h, F))
         right = hm_map(h, mu(F))
         if left != right:
-            failures.append(
-                LawFailure(
-                    input=f"map={h.assignment} F={format_stepfn(F)}",
-                    expected=format_stepfn(right),
-                    actual=format_stepfn(left),
-                )
+            yield LawFailure(
+                input=f"map={h.assignment} F={format_stepfn(F)}",
+                expected=format_stepfn(right),
+                actual=format_stepfn(left),
             )
-    return LawReport(mu.name, "naturality", map_samples, tuple(failures))
+
+    return _run_suite("naturality", map_samples, seed, trial, mu.name)
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +607,7 @@ def fiber_uniqueness(n: int, grid: int, budget: int = DEFAULT_FIBER_BUDGET) -> F
                 break
         else:
             survivors.append(assign)
-    bps = tuple(Rat(k, cells) for k in range(cells + 1))
-    canonical = {
-        canonicalize(StepFn(bps, tuple(labels[c] for c in assign)))
-        for assign in survivors
-    }
+    canonical = {blocks(labels[c] for c in assign) for assign in survivors}
     for g in canonical:
         if hm_map(w.left_proj, g) != w.staircase or hm_map(w.right_proj, g) != w.staircase:
             raise RuntimeError("fiber filter and functor action disagree; enumeration is buggy")

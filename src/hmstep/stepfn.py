@@ -158,6 +158,20 @@ def measure_preimage(f: StepFn, value_set: Iterable, window: Window = FULL_WINDO
     return total
 
 
+def as_rng(seed: int | random.Random) -> random.Random:
+    """Use a ``random.Random`` as is, or start a fresh stream from an int seed."""
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
+
+
+def blocks(values: Iterable) -> StepFn:
+    """The canonical step function taking the i-th of n values on [(i-1)/n, i/n)."""
+    values = tuple(values)
+    if not values:
+        raise ValueError("need at least one block value")
+    n = len(values)
+    return canonicalize(StepFn(tuple(Rat(k, n) for k in range(n + 1)), values))
+
+
 def random_stepfn(
     domain: FiniteSpace | Sequence,
     grid_denominator: int,
@@ -171,17 +185,16 @@ def random_stepfn(
     pool = domain.labels if isinstance(domain, FiniteSpace) else tuple(domain)
     if not pool:
         raise ValueError("domain must be nonempty")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    g = grid_denominator
-    bps = tuple(Rat(k, g) for k in range(g + 1))
-    vals = tuple(rng.choice(pool) for _ in range(g))
-    return canonicalize(StepFn(bps, vals))
+    rng = as_rng(seed)
+    return blocks(rng.choice(pool) for _ in range(grid_denominator))
 
 
 # Text serialization: breakpoints and values alternate, "t_0 v_1 t_1 ... t_k".
 # Nested step functions are bracketed, pair labels parenthesized:
 #   "0 1 1/2 2 1"                       over an int-labeled space
 #   "0 [0 1 1/2 2 1] 1/2 [0 2 1] 1"     one nesting level down
+# Parsing recurses once per bracket; deeper nesting is refused before the stack runs out.
+MAX_NESTING = 100
 
 
 def format_value(v: object) -> str:
@@ -207,6 +220,8 @@ def _split_top(text: str, sep: str) -> list[str]:
     for ch in text:
         if ch in "[(":
             depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(f"nesting deeper than {MAX_NESTING} brackets")
         elif ch in ")]":
             depth -= 1
         if ch == sep and depth == 0:

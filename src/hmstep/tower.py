@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import FiniteSpace, Rat, TestFn, Window, ZERO
-from .hm import Functional, SpaceMap, _check_values, d_hm, functional_eval, hm_map
+from .hm import Functional, SpaceMap, d_hm, functional_eval, hm_map
 from .stepfn import (
     StepFn,
+    as_rng,
+    blocks,
     canonicalize,
     common_refinement,
     constant,
@@ -154,14 +156,10 @@ def random_stepfn2(
 ) -> StepFn2:
     """A canonical level-2 function: outer breakpoints on the 1/outer_grid
     grid, each inner function drawn by :func:`random_stepfn`."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = as_rng(seed)
     if outer_grid < 1:
         raise ValueError("outer grid must be at least 1")
-    bps = tuple(Rat(k, outer_grid) for k in range(outer_grid + 1))
-    vals = tuple(
-        random_stepfn(space, rng.randint(1, inner_grid), rng) for _ in range(outer_grid)
-    )
-    return canonicalize(StepFn(bps, vals))
+    return blocks(random_stepfn(space, rng.randint(1, inner_grid), rng) for _ in range(outer_grid))
 
 
 def random_stepfn3(
@@ -172,12 +170,7 @@ def random_stepfn3(
     seed: int | random.Random,
 ) -> StepFn3:
     """A canonical level-3 function built from random level-2 values."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = as_rng(seed)
     if outer_grid < 1:
         raise ValueError("outer grid must be at least 1")
-    bps = tuple(Rat(k, outer_grid) for k in range(outer_grid + 1))
-    vals = tuple(
-        random_stepfn2(space, rng.randint(1, mid_grid), inner_grid, rng)
-        for _ in range(outer_grid)
-    )
-    return canonicalize(StepFn(bps, vals))
+    return blocks(random_stepfn2(space, rng.randint(1, mid_grid), inner_grid, rng) for _ in range(outer_grid))
