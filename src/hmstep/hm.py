@@ -4,17 +4,19 @@ Provides the integral metric d_hm, window-average coordinates (a test
 function averaged over a window), max-combined pseudometrics, the functor
 action of a point map, the constant-function unit, and exact support
 predicates. Everything is computed over common refinements, so results are
-exact rationals.
+exact rationals. The metric, the coordinates and the functor action are thin
+callers of the level-generic ``stepfn`` kernels, which ``tower`` reuses one
+level up.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
     FULL_WINDOW,
-    ONE,
     ZERO,
     FiniteSpace,
     Rat,
@@ -24,17 +26,18 @@ from .core import (
 from .stepfn import (
     StepFn,
     canonicalize,
-    common_refinement,
     constant,
+    map_values,
     measure_preimage,
-    overlap_length,
+    refinement_integral,
+    window_average,
 )
 
 
-def _check_values(space: FiniteSpace, f: StepFn, role: str = "step function") -> None:
-    for v in set(f.values):
+def _check_points(space: FiniteSpace, points: Iterable) -> None:
+    for v in set(points):
         if v not in space:
-            raise ValueError(f"{role} value {v!r} is not a point of the given space")
+            raise ValueError(f"{v!r} is not a point of the given space")
 
 
 @dataclass(frozen=True)
@@ -118,25 +121,15 @@ def d_hm(space: FiniteSpace, f: StepFn, g: StepFn) -> Rat:
 
     Zero exactly when the canonical forms coincide; bounded by 1.
     """
-    _check_values(space, f)
-    _check_values(space, g)
-    total = ZERO
-    for start, end, left, right in common_refinement(f, g):
-        if left != right:
-            total += (end - start) * space.distance(left, right)
-    return total
+    _check_points(space, f.values)
+    _check_points(space, g.values)
+    return refinement_integral(f, g, space.distance)
 
 
 def functional_eval(fnl: Functional, f: StepFn) -> Rat:
     """Exact mean of phi(f(t)) over the functional's window."""
-    phi, w = fnl.phi, fnl.window
-    _check_values(phi.space, f)
-    total = ZERO
-    for t0, t1, v in f.segments():
-        seg = overlap_length(t0, t1, w)
-        if seg > ZERO:
-            total += seg * phi(v)
-    return total / w.length
+    _check_points(fnl.phi.space, f.values)
+    return window_average(f, fnl.phi, fnl.window)
 
 
 def pseudometric_eval(rho: Pseudometric, f: StepFn, g: StepFn) -> Rat:
@@ -150,14 +143,13 @@ def pseudometric_eval(rho: Pseudometric, f: StepFn, g: StepFn) -> Rat:
 def hm_map(h: SpaceMap, f: StepFn) -> StepFn:
     """Post-compose f with the point map h; the canonical result never has
     more pieces than f."""
-    _check_values(h.source, f)
-    return canonicalize(StepFn(f.breakpoints, tuple(h(v) for v in f.values)))
+    _check_points(h.source, f.values)
+    return map_values(f, h)
 
 
 def unit(x: object, space: FiniteSpace) -> StepFn:
     """The constant step function at a point: the unit of the construction."""
-    if x not in space:
-        raise ValueError(f"{x!r} is not a point of the given space")
+    _check_points(space, (x,))
     return constant(x)
 
 
@@ -171,11 +163,6 @@ def hm_n_membership(f: StepFn) -> int:
     return canonicalize(f).pieces
 
 
-def _spanned_windows(f: StepFn) -> list[Window]:
-    # every window spanned by f's breakpoints; (0, 1) is among them
-    return [Window(a, b) for a, b in combinations(f.breakpoints, 2)]
-
-
 def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
     """Coordinate test for support containment: true iff every indicator of a
     point outside ``b_set`` averages to zero over every window spanned by
@@ -186,13 +173,11 @@ def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
     targets = frozenset(b_set)
     if not targets:
         raise ValueError("the candidate support set must be nonempty")
-    for y in targets:
-        if y not in space:
-            raise ValueError(f"{y!r} is not a point of the given space")
-    _check_values(space, f)
-    f = canonicalize(f)
+    _check_points(space, targets)
+    _check_points(space, f.values)
     outside = [y for y in space.labels if y not in targets]
-    windows = _spanned_windows(f)
+    # every window spanned by f's breakpoints, which must be distinct; (0, 1) is among them
+    windows = [Window(a, b) for a, b in combinations(canonicalize(f).breakpoints, 2)]
     for y in outside:
         ind = TestFn.indicator(space, y)
         for w in windows:
@@ -206,10 +191,8 @@ def support_membership_check(space: FiniteSpace, f: StepFn, x: object) -> bool:
     level is the total length of pieces at x, and the decisive [0,1]-valued
     test function fixing x is its indicator (any other dominates it
     pointwise). Agrees exactly with ``x in support(f)``."""
-    if x not in space:
-        raise ValueError(f"{x!r} is not a point of the given space")
-    _check_values(space, f)
-    f = canonicalize(f)
+    _check_points(space, (x,))
+    _check_points(space, f.values)
     witness = measure_preimage(f, {x}, FULL_WINDOW)
     if witness == ZERO:
         return False

@@ -2,7 +2,7 @@
 
 Builds the staircase witnesses over the n-point base, checks monad laws and
 naturality for any candidate on seeded random samples, decides uniqueness of
-the projection fiber by exhaustive grid enumeration, walks the chain of
+the projection fiber as a product of per-cell label sets, walks the chain of
 values any lawful multiplication is forced to take, and probes continuity by
 driving the bump tower toward its limit while watching the images. Every
 check is an exact rational comparison; reports record concrete witnesses
@@ -574,40 +574,28 @@ def check_naturality(mu: MuCandidate, map_samples: int, seed: int, grid: int = 4
 
 
 def fiber_uniqueness(n: int, grid: int, budget: int = DEFAULT_FIBER_BUDGET) -> FiberResult:
-    """Decide by exhaustive enumeration whether the diagonal staircase is the
-    only step function over the paired base whose both projections equal the
-    staircase.
+    """Decide exactly whether the diagonal staircase is the only step function
+    over the paired base whose both projections equal the staircase.
 
-    Enumerates every assignment of paired values to the n*grid uniform cells
-    (breakpoints in multiples of 1/(n*grid)), filters by the projection
-    constraints cellwise, and re-confirms each survivor through the functor
-    action. Raises :class:`FiberBudgetError` instead of truncating when the
-    assignment count exceeds the budget.
+    The candidates are the assignments of paired values to the n*grid uniform
+    cells (breakpoints in multiples of 1/(n*grid)); ``checked`` counts them.
+    The projection constraints are per cell, so the fiber is the product of
+    the per-cell allowed label sets; each member is re-confirmed through the
+    functor action. Raises :class:`FiberBudgetError` instead of truncating
+    when cells times labels, or the assignment count, exceeds the budget.
     """
     if n < 1 or grid < 1:
         raise ValueError("n and grid must be at least 1")
     cells = n * grid
     n2 = n * n
-    total = n2**cells
-    if total > budget:
-        raise FiberBudgetError(
-            f"fiber enumeration needs {total} assignments, over the budget of {budget}"
-        )
+    # cells * n2 first: it bounds the grid even at n = 1, where n2**cells is 1
+    if cells * n2 > budget or n2**cells > budget:
+        raise FiberBudgetError(f"fiber search at n={n} grid={grid} is over the budget of {budget}")
     w = build_witnesses(n)
     labels = w.pairs.labels
-    # staircase level on each grid cell
-    target = [k // grid + 1 for k in range(cells)]
-    allowed = [
-        [lab[0] == t and lab[1] == t for lab in labels] for t in target
-    ]
-    survivors: list[tuple[int, ...]] = []
-    for assign in iter_product(range(n2), repeat=cells):
-        for k in range(cells):
-            if not allowed[k][assign[k]]:
-                break
-        else:
-            survivors.append(assign)
-    canonical = {blocks(labels[c] for c in assign) for assign in survivors}
+    # both coordinates at the staircase level of each grid cell
+    allowed = [[lab for lab in labels if lab[0] == lab[1] == k // grid + 1] for k in range(cells)]
+    canonical = {blocks(assign) for assign in iter_product(*allowed)}
     for g in canonical:
         if hm_map(w.left_proj, g) != w.staircase or hm_map(w.right_proj, g) != w.staircase:
             raise RuntimeError("fiber filter and functor action disagree; enumeration is buggy")
@@ -615,7 +603,7 @@ def fiber_uniqueness(n: int, grid: int, budget: int = DEFAULT_FIBER_BUDGET) -> F
         sorted((g for g in canonical if g != w.diagonal_staircase), key=format_stepfn)
     )
     unique = not witnesses and w.diagonal_staircase in canonical
-    return FiberResult(n=n, grid=grid, unique=unique, witnesses=witnesses, checked=total)
+    return FiberResult(n=n, grid=grid, unique=unique, witnesses=witnesses, checked=n2**cells)
 
 
 def forced_value_chain(n: int, mu: MuCandidate, seed: int = 0) -> LawReport:

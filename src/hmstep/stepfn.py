@@ -6,14 +6,15 @@ opaque hashable objects: points of a finite space, or step functions
 themselves, so one generic type realizes every nesting level. Two functions
 that agree almost everywhere share a canonical form (no zero-length pieces,
 adjacent values distinct), and canonical forms are what every equality in
-this toolkit compares.
+this toolkit compares. The kernels every level shares (``map_values``,
+``refinement_integral``, ``window_average``) take the level's part as a callable.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,6 +102,11 @@ def from_segments(segments: Iterable[tuple[Rat, Rat, object]]) -> StepFn:
     return canonicalize(StepFn(tuple(bps), tuple(vals)))
 
 
+def map_values(f: StepFn, fn: Callable[[object], object]) -> StepFn:
+    """The canonical form of fn ∘ f: fn applied to every stored value."""
+    return canonicalize(StepFn(f.breakpoints, tuple(fn(v) for v in f.values)))
+
+
 def evaluate(f: StepFn, t: int | str | Rat) -> object:
     """Value of f at t in [0, 1); at a breakpoint the right piece wins."""
     t = as_rat(t)
@@ -121,10 +127,10 @@ def common_refinement(f: StepFn, g: StepFn) -> list[RefinementCell]:
     """Partition [0, 1) so both functions are constant on every cell.
 
     Cells carry (start, end, value of f, value of g); zero-length cells never
-    appear, and the cell count is at most pieces(f) + pieces(g) - 1.
+    appear, and the cell count is at most pieces(f) + pieces(g) - 1. Raw
+    inputs give the cells of their canonical forms: zero-length pieces are
+    skipped, and a cell repeating its left neighbour's pair extends it.
     """
-    f = canonicalize(f)
-    g = canonicalize(g)
     cells: list[RefinementCell] = []
     i = j = 0
     cur = ZERO
@@ -132,13 +138,27 @@ def common_refinement(f: StepFn, g: StepFn) -> list[RefinementCell]:
         fe = f.breakpoints[i + 1]
         ge = g.breakpoints[j + 1]
         end = fe if fe <= ge else ge
-        cells.append(RefinementCell(cur, end, f.values[i], g.values[j]))
+        if end > cur:
+            left, right = f.values[i], g.values[j]
+            if cells and cells[-1].left == left and cells[-1].right == right:
+                cells[-1] = cells[-1]._replace(end=end)
+            else:
+                cells.append(RefinementCell(cur, end, left, right))
+            cur = end
         if fe == end:
             i += 1
         if ge == end:
             j += 1
-        cur = end
     return cells
+
+
+def refinement_integral(f: StepFn, g: StepFn, dist: Callable[[object, object], Rat]) -> Rat:
+    """Integral of dist(f(t), g(t)) over [0, 1); dist sees only unequal values."""
+    total = ZERO
+    for start, end, left, right in common_refinement(f, g):
+        if left != right:
+            total += (end - start) * dist(left, right)
+    return total
 
 
 def overlap_length(start: Rat, end: Rat, window: Window) -> Rat:
@@ -146,6 +166,16 @@ def overlap_length(start: Rat, end: Rat, window: Window) -> Rat:
     lo = start if start >= window.a else window.a
     hi = end if end <= window.b else window.b
     return hi - lo if hi > lo else ZERO
+
+
+def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -> Rat:
+    """Exact mean of weight(f(t)) over the window; weight sees only pieces meeting it."""
+    total = ZERO
+    for t0, t1, v in f.segments():
+        seg = overlap_length(t0, t1, window)
+        if seg > ZERO:
+            total += seg * weight(v)
+    return total / window.length
 
 
 def measure_preimage(f: StepFn, value_set: Iterable, window: Window = FULL_WINDOW) -> Rat:

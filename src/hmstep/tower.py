@@ -6,12 +6,16 @@ opaque, the same type serves every level, and the operations here are the
 level-aware ones: the two nestings of the unit, the level-2 functor action,
 the level-2 integral metric, iterated window-average coordinates, and
 flatten candidates (multiplication proposals) with their level-3 lifts.
+The level-2 functor action, metric and coordinates reuse the ``stepfn``
+kernels behind their level-1 twins in ``hm``, with a level-1 operation as
+the callable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .core import FiniteSpace, Rat, TestFn, Window, ZERO
@@ -21,12 +25,13 @@ from .stepfn import (
     as_rng,
     blocks,
     canonicalize,
-    common_refinement,
     constant,
     evaluate,
     from_segments,
-    overlap_length,
+    map_values,
     random_stepfn,
+    refinement_integral,
+    window_average,
 )
 
 StepFn2 = StepFn
@@ -44,8 +49,7 @@ def h_eta(f: StepFn) -> StepFn2:
 
     This is the image of f under the functor action of the unit map.
     """
-    f = canonicalize(f)
-    return canonicalize(StepFn(f.breakpoints, tuple(constant(v) for v in f.values)))
+    return map_values(f, constant)
 
 
 def eta_h(f: StepFn) -> StepFn2:
@@ -56,7 +60,7 @@ def eta_h(f: StepFn) -> StepFn2:
 def h2_map(h: SpaceMap, F: StepFn2) -> StepFn2:
     """Level-2 functor action: post-compose every inner function with h."""
     _check_nested(F)
-    return canonicalize(StepFn(F.breakpoints, tuple(hm_map(h, v) for v in F.values)))
+    return map_values(F, partial(hm_map, h))
 
 
 def diagonal_flatten(F: StepFn2) -> StepFn:
@@ -82,11 +86,7 @@ def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
     """Integral over the outer variable of d_hm between inner functions."""
     _check_nested(F)
     _check_nested(G)
-    total = ZERO
-    for start, end, left, right in common_refinement(F, G):
-        if left != right:
-            total += (end - start) * d_hm(space, left, right)
-    return total
+    return refinement_integral(F, G, partial(d_hm, space))
 
 
 def iterated_functional_eval(
@@ -98,13 +98,7 @@ def iterated_functional_eval(
     coordinate (phi over ``inner``) of F(s) for s in ``outer``.
     """
     _check_nested(F)
-    level1 = Functional(phi, inner)
-    total = ZERO
-    for t0, t1, g in F.segments():
-        seg = overlap_length(t0, t1, outer)
-        if seg > ZERO:
-            total += seg * functional_eval(level1, g)
-    return total / outer.length
+    return window_average(F, partial(functional_eval, Functional(phi, inner)), outer)
 
 
 @dataclass(frozen=True)
@@ -118,12 +112,12 @@ class MuCandidate:
     transform: Callable[[StepFn2], StepFn]
 
     def __call__(self, F: StepFn2) -> StepFn:
-        return canonicalize(self.transform(canonicalize(F)))
+        # the control candidates return raw inner functions
+        return canonicalize(self.transform(F))
 
     def lift(self, F3: StepFn3) -> StepFn2:
-        F3 = canonicalize(F3)
         _check_nested(F3)
-        return canonicalize(StepFn(F3.breakpoints, tuple(self(v) for v in F3.values)))
+        return map_values(F3, self)
 
 
 def _constant_left(F: StepFn2) -> StepFn:
