@@ -190,7 +190,7 @@ def run(config: RunConfig) -> tuple[int, Report]:
         for n, grid in ((1, 2), (2, 2), (3, 2)):
             suites.append(fiber_uniqueness(n, grid).to_report())
     if config.command == "probe":
-        probe_rows = [row for row in discontinuity_probe(mu, hi) if row.n >= lo]
+        probe_rows = discontinuity_probe(mu, hi, lo)
     elif config.command == "all":
         probe_rows = discontinuity_probe(mu, 16)
     report = Report(

@@ -4,7 +4,9 @@ Every quantity in this toolkit is an exact rational: breakpoints of step
 functions, metric values, window averages. ``Rat`` is the standard-library
 ``fractions.Fraction``, which maintains the reduced form (gcd one, positive
 denominator) after every operation, so arithmetic is exact by construction.
-Floats are rejected at the boundaries; rounding never enters.
+Floats are rejected at the boundaries; rounding never enters. A
+``FiniteSpace`` without a distance table (``dist=None``) carries the discrete
+metric, and equality of spaces follows how they were built.
 """
 
 from __future__ import annotations
@@ -44,19 +46,23 @@ class FiniteSpace:
     """A finite point set with an exact metric bounded by 1.
 
     ``labels`` are hashable point names (ints for discrete spaces, pairs for
-    products); ``dist`` is the full distance table aligned with ``labels``.
-    Construction checks the pairwise axioms (zero diagonal, symmetry,
-    positivity off the diagonal, bound 1). The triangle inequality is
-    checked exhaustively by :func:`validate_metric`; the discrete and
-    product constructors below satisfy it structurally.
+    products); ``dist`` is ``None`` for the discrete metric, else the full
+    distance table aligned with ``labels``, checked at construction for the
+    pairwise axioms (zero diagonal, symmetry, positivity off the diagonal,
+    bound 1). The triangle inequality is checked exhaustively by
+    :func:`validate_metric`; the discrete and product constructors below
+    satisfy it structurally. Equality compares the fields, so it follows
+    construction: an explicit 0/1 table is not the table-free discrete space.
     """
 
     labels: tuple
-    dist: tuple[tuple[Rat, ...], ...]
+    dist: tuple[tuple[Rat, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        dist = tuple(tuple(as_rat(x) for x in row) for row in self.dist)
+        dist = self.dist
+        if dist is not None:
+            dist = tuple(tuple(as_rat(x) for x in row) for row in dist)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
         n = len(labels)
@@ -64,19 +70,20 @@ class FiniteSpace:
             raise ValueError("a finite space needs at least one point")
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
-        if len(dist) != n or any(len(row) != n for row in dist):
-            raise ValueError("distance table must be square, one row per point")
-        for i in range(n):
-            if dist[i][i] != ZERO:
-                raise ValueError("distance from a point to itself must be 0")
-            for j in range(i + 1, n):
-                d = dist[i][j]
-                if d != dist[j][i]:
-                    raise ValueError("distance table must be symmetric")
-                if d <= ZERO:
-                    raise ValueError("distinct points must be at positive distance")
-                if d > ONE:
-                    raise ValueError("distances must be bounded by 1")
+        if dist is not None:
+            if len(dist) != n or any(len(row) != n for row in dist):
+                raise ValueError("distance table must be square, one row per point")
+            for i in range(n):
+                if dist[i][i] != ZERO:
+                    raise ValueError("distance from a point to itself must be 0")
+                for j in range(i + 1, n):
+                    d = dist[i][j]
+                    if d != dist[j][i]:
+                        raise ValueError("distance table must be symmetric")
+                    if d <= ZERO:
+                        raise ValueError("distinct points must be at positive distance")
+                    if d > ONE:
+                        raise ValueError("distances must be bounded by 1")
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
 
     @property
@@ -93,34 +100,33 @@ class FiniteSpace:
             raise ValueError(f"{x!r} is not a point of this space") from None
 
     def distance(self, x: object, y: object) -> Rat:
-        return self.dist[self.index_of(x)][self.index_of(y)]
+        i, j = self.index_of(x), self.index_of(y)
+        if self.dist is None:
+            return ZERO if i == j else ONE
+        return self.dist[i][j]
 
 
 def validate_metric(space: FiniteSpace) -> None:
     """Exhaustively check the triangle inequality over all point triples.
 
     The pairwise axioms are already enforced at construction; this adds the
-    O(n^3) scan. Raises ValueError at the first violation.
+    O(n^3) scan through ``space.distance``. Raises ValueError at the first
+    violation.
     """
-    d = space.dist
-    n = space.n
-    for i in range(n):
-        row = d[i]
-        for j in range(n):
-            dij = row[j]
-            for k in range(n):
-                if dij > row[k] + d[k][j]:
-                    raise ValueError(
-                        "triangle inequality fails at "
-                        f"{space.labels[i]!r}, {space.labels[j]!r} via {space.labels[k]!r}"
-                    )
+    labels = space.labels
+    for x in labels:
+        for y in labels:
+            dxy = space.distance(x, y)
+            for z in labels:
+                if dxy > space.distance(x, z) + space.distance(z, y):
+                    raise ValueError(f"triangle inequality fails at {x!r}, {y!r} via {z!r}")
 
 
 def make_discrete_space(n: int, labels: tuple | None = None) -> FiniteSpace:
     """The n-point space in which all distinct points are at distance 1.
 
     Labels default to 1..n; pass ``labels`` to override (e.g. ``(0, 1)`` for
-    the two-point space used by the discontinuity probe).
+    the two-point space used by the discontinuity probe). No table is stored.
     """
     if n < 1:
         raise ValueError("a discrete space needs at least one point")
@@ -129,10 +135,7 @@ def make_discrete_space(n: int, labels: tuple | None = None) -> FiniteSpace:
     labels = tuple(labels)
     if len(labels) != n:
         raise ValueError("label count must match n")
-    dist = tuple(
-        tuple(ZERO if i == j else ONE for j in range(n)) for i in range(n)
-    )
-    return FiniteSpace(labels, dist)
+    return FiniteSpace(labels)
 
 
 def product_space(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
@@ -140,21 +143,16 @@ def product_space(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
 
     Labels are pairs ``(a, b)`` in row-major order; the projections are
     recoverable from the pair structure (see ``hm.product_projections``).
+    The max of two discrete metrics is discrete, so two table-free factors
+    give a table-free product; otherwise the table is built.
     """
     labels = tuple((a, b) for a in x.labels for b in y.labels)
-    rows = []
-    for i in range(x.n):
-        dx_row = x.dist[i]
-        for j in range(y.n):
-            dy_row = y.dist[j]
-            row = []
-            for k in range(x.n):
-                dxv = dx_row[k]
-                for l in range(y.n):
-                    dyv = dy_row[l]
-                    row.append(dxv if dxv >= dyv else dyv)
-            rows.append(tuple(row))
-    return FiniteSpace(labels, tuple(rows))
+    if x.dist is None and y.dist is None:
+        return FiniteSpace(labels)
+    dist = tuple(
+        tuple(max(x.distance(a, c), y.distance(b, d)) for c, d in labels) for a, b in labels
+    )
+    return FiniteSpace(labels, dist)
 
 
 @dataclass(frozen=True)

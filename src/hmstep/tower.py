@@ -70,7 +70,6 @@ def diagonal_flatten(F: StepFn2) -> StepFn:
     piece, so the result is again an exact step function. Satisfies both
     unit laws, associativity, and naturality at the step-function level.
     """
-    F = canonicalize(F)
     _check_nested(F)
     segments = []
     for u, v, g in F.segments():
