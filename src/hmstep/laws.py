@@ -46,6 +46,7 @@ from .hm import (
 )
 from .stepfn import (
     StepFn,
+    _canonical,
     as_rng,
     blocks,
     canonicalize,
@@ -205,8 +206,9 @@ def staircase_fn(n: int) -> StepFn:
 
 def bump_fn(i: int, n: int) -> StepFn:
     """Two-point indicator of the i-th block: 1 on [(i-1)/n, i/n), else 0."""
-    bps = (ZERO, Rat(i - 1, n), Rat(i, n), ONE)
-    return canonicalize(StepFn(bps, (0, 1, 0)))
+    if not 1 <= i <= n:
+        raise ValueError(f"block index {i} is outside 1..{n}")
+    return _canonical(((Rat(i - 1, n), 0), (Rat(i, n), 1), (ONE, 0)))
 
 
 def nested_bumps_fn(n: int) -> StepFn2:

@@ -8,6 +8,13 @@ that agree almost everywhere share a canonical form (no zero-length pieces,
 adjacent values distinct), and canonical forms are what every equality in
 this toolkit compares. The kernels every level shares (``map_values``,
 ``refinement_integral``, ``window_average``) take the level's part as a callable.
+
+Validation happens once, at the public boundary: the ``StepFn`` constructor,
+:func:`from_segments` and :func:`parse_stepfn` coerce and check whatever they
+are given. Internal producers (``blocks``, ``map_values``, ``canonicalize``,
+the flatten candidates) derive their partitions from inputs already checked,
+so they run the one merge scan and build their canonical result once, with
+no second validation pass.
 """
 
 from __future__ import annotations
@@ -25,9 +32,11 @@ from .core import FULL_WINDOW, ONE, ZERO, FiniteSpace, Rat, Window, as_rat
 class StepFn:
     """Breakpoints and per-piece values; not necessarily canonical.
 
-    The constructor validates the partition shape (sorted breakpoints from 0
-    to 1, one value per piece) but deliberately admits zero-length and
+    The constructor is the validating boundary: it coerces every breakpoint
+    to a ``Rat`` and checks the partition shape (sorted breakpoints from 0
+    to 1, one value per piece), but deliberately admits zero-length and
     mergeable pieces so that :func:`canonicalize` has something to do.
+    Results derived from checked inputs are built by ``_trusted`` instead.
     """
 
     breakpoints: tuple[Rat, ...]
@@ -58,28 +67,58 @@ class StepFn:
 
     @property
     def is_canonical(self) -> bool:
-        if any(t1 <= t0 for t0, t1 in zip(self.breakpoints, self.breakpoints[1:])):
-            return False
-        return all(a != b for a, b in zip(self.values, self.values[1:]))
+        return canonicalize(self) is self
+
+
+def _trusted(breakpoints: tuple[Rat, ...], values: tuple) -> StepFn:
+    """A ``StepFn`` over a partition already known to be valid, built without
+    coercion or checks. Only for results derived from validated inputs:
+    breakpoints are ``Rat`` tuples from 0 to 1 in order, one value per piece."""
+    f = object.__new__(StepFn)
+    object.__setattr__(f, "breakpoints", breakpoints)
+    object.__setattr__(f, "values", values)
+    return f
+
+
+def _merged(pieces: Iterable[tuple[object, object]], start: object = ZERO) -> tuple[list, list]:
+    """The merge scan behind every canonical form.
+
+    ``pieces`` are (end, value) pairs of a contiguous partition that begins
+    at ``start``; a piece ending where the previous one ended has zero length
+    and is dropped, and a value equal to its left neighbour's extends that
+    neighbour. Returns the kept breakpoints (``start`` first) and values.
+    """
+    bps = [start]
+    vals: list = []
+    for end, v in pieces:
+        if end == bps[-1]:
+            continue
+        if vals and vals[-1] == v:
+            bps[-1] = end
+        else:
+            bps.append(end)
+            vals.append(v)
+    return bps, vals
+
+
+def _canonical(pieces: Iterable[tuple[Rat, object]]) -> StepFn:
+    """The canonical step function of checked (end, value) pieces from 0 to 1."""
+    bps, vals = _merged(pieces)
+    return _trusted(tuple(bps), tuple(vals))
 
 
 def canonicalize(f: StepFn) -> StepFn:
     """The unique representative of f's almost-everywhere class.
 
-    Zero-length pieces are dropped and equal-valued neighbours merged.
-    Idempotent; the result has at least one piece.
+    Zero-length pieces are dropped and equal-valued neighbours merged, in one
+    scan; an already canonical f is returned as is, so the call is
+    idempotent and allocates no second ``StepFn`` for canonical input. The
+    result has at least one piece.
     """
-    bps: list[Rat] = [ZERO]
-    vals: list = []
-    for t0, t1, v in f.segments():
-        if t1 == t0:
-            continue
-        if vals and vals[-1] == v:
-            bps[-1] = t1
-        else:
-            vals.append(v)
-            bps.append(t1)
-    return StepFn(tuple(bps), tuple(vals))
+    bps, vals = _merged(zip(f.breakpoints[1:], f.values))
+    if len(vals) == len(f.values):
+        return f
+    return _trusted(tuple(bps), tuple(vals))
 
 
 def constant(value: object) -> StepFn:
@@ -89,22 +128,26 @@ def constant(value: object) -> StepFn:
 
 def from_segments(segments: Iterable[tuple[Rat, Rat, object]]) -> StepFn:
     """Assemble a canonical step function from contiguous (start, end, value)
-    triples covering [0, 1) in order. Zero-length segments are tolerated."""
+    triples covering [0, 1) in order. Zero-length segments are tolerated;
+    gaps, overlaps and segments running backwards are refused."""
     bps: list[Rat] = [ZERO]
     vals: list = []
     for start, end, v in segments:
-        if as_rat(start) != bps[-1]:
+        start, end = as_rat(start), as_rat(end)
+        if start != bps[-1]:
             raise ValueError("segments must be contiguous from 0 to 1")
-        bps.append(as_rat(end))
+        if end < start:
+            raise ValueError(f"segment [{start}, {end}) runs backwards")
+        bps.append(end)
         vals.append(v)
     if not vals or bps[-1] != ONE:
         raise ValueError("segments must cover [0, 1)")
-    return canonicalize(StepFn(tuple(bps), tuple(vals)))
+    return _canonical(zip(bps[1:], vals))
 
 
 def map_values(f: StepFn, fn: Callable[[object], object]) -> StepFn:
     """The canonical form of fn ∘ f: fn applied to every stored value."""
-    return canonicalize(StepFn(f.breakpoints, tuple(fn(v) for v in f.values)))
+    return _canonical(zip(f.breakpoints[1:], [fn(v) for v in f.values]))
 
 
 def evaluate(f: StepFn, t: int | str | Rat) -> object:
@@ -199,7 +242,9 @@ def blocks(values: Iterable) -> StepFn:
     if not values:
         raise ValueError("need at least one block value")
     n = len(values)
-    return canonicalize(StepFn(tuple(Rat(k, n) for k in range(n + 1)), values))
+    # merge on the integer grid, then build a Rat only for each kept breakpoint
+    ks, vals = _merged(zip(range(1, n + 1), values), start=0)
+    return _trusted(tuple(Rat(k, n) for k in ks), tuple(vals))
 
 
 def random_stepfn(

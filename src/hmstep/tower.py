@@ -14,6 +14,7 @@ the callable.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -22,12 +23,13 @@ from .core import FiniteSpace, Rat, TestFn, Window, ZERO
 from .hm import Functional, SpaceMap, d_hm, functional_eval, hm_map
 from .stepfn import (
     StepFn,
+    _canonical,
+    _trusted,
     as_rng,
     blocks,
     canonicalize,
     constant,
     evaluate,
-    from_segments,
     map_values,
     random_stepfn,
     refinement_integral,
@@ -71,14 +73,16 @@ def diagonal_flatten(F: StepFn2) -> StepFn:
     unit laws, associativity, and naturality at the step-function level.
     """
     _check_nested(F)
-    segments = []
+    pieces = []
     for u, v, g in F.segments():
-        for p, q, val in g.segments():
-            lo = p if p >= u else u
-            hi = q if q <= v else v
-            if hi > lo:
-                segments.append((lo, hi, val))
-    return from_segments(segments)
+        if v <= u:
+            continue
+        # the inner pieces meeting [u, v): from the one holding u to the last starting before v
+        bps = g.breakpoints
+        for i in range(bisect_right(bps, u) - 1, bisect_left(bps, v)):
+            end = bps[i + 1]
+            pieces.append((end if end <= v else v, g.values[i]))
+    return _canonical(pieces)
 
 
 def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
@@ -133,7 +137,7 @@ def _remap_last(F: StepFn2) -> StepFn:
     flat = diagonal_flatten(F)
     if flat.pieces == 1:
         return flat
-    return StepFn(flat.breakpoints, flat.values[:-1] + (flat.values[0],))
+    return _trusted(flat.breakpoints, flat.values[:-1] + (flat.values[0],))
 
 
 DIAGONAL = MuCandidate("diagonal", diagonal_flatten)

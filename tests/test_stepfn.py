@@ -275,3 +275,10 @@ class TestFromSegments:
             from_segments([(0, Fraction(1, 2), 1), (Fraction(3, 4), 1, 2)])
         with pytest.raises(ValueError):
             from_segments([(0, Fraction(1, 2), 1)])
+
+    def test_rejects_a_backwards_segment(self):
+        # contiguous, but the middle segment runs from 1/2 back to 1/4
+        with pytest.raises(ValueError):
+            from_segments(
+                [(0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 4), 2), (Fraction(1, 4), 1, 3)]
+            )
