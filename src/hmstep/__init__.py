@@ -33,6 +33,7 @@ from .hm import (
     functional_eval,
     hm_map,
     hm_n_membership,
+    pairing,
     pseudometric_eval,
     product_projections,
     support,

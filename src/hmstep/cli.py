@@ -4,7 +4,8 @@ Runs the coordinate/support suites, the monad-law suites for a chosen
 candidate, the fiber oracle, and the discontinuity probe, then renders one
 deterministic report (JSON, CSV for probe rows, or text). Identical config
 and seed produce byte-identical reports. Exit codes: 0 all checks pass,
-1 some assertion failed, 2 usage error, 3 budget or I/O error.
+1 some assertion failed, 2 usage error, 3 over budget, out of memory, or the
+report cannot be rendered or written.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _law_block(candidate: str, samples: int, seed: int, chain_ns: range) -> list
 def run(config: RunConfig) -> tuple[int, Report]:
     """Execute the configured command; returns (exit_code, report).
 
-    May raise :class:`FiberBudgetError`; the caller maps it to exit code 3.
+    May raise :class:`FiberBudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
     """
     suites: list[LawReport] = []
     probe_rows: list[ProbeRow] = []
@@ -246,14 +247,22 @@ def emit_report(report: Report, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _refuse(message: str) -> int:
+    print(f"hmstep: {message}", file=sys.stderr)
+    return 3
+
+
 def main(argv: list[str] | None = None) -> int:
     config = parse_config(sys.argv[1:] if argv is None else argv)
     try:
         code, report = run(config)
-    except FiberBudgetError as exc:
-        print(f"hmstep: {exc}", file=sys.stderr)
-        return 3
-    text = emit_report(report, config.format)
+    except (FiberBudgetError, MemoryError) as exc:
+        return _refuse(str(exc) or "out of memory")
+    try:
+        text = emit_report(report, config.format)
+    except ValueError as exc:
+        # with a valid config, only an int too long to print: the fiber count at a huge --grid
+        return _refuse(f"cannot render the report: {exc}")
     if config.out is None:
         sys.stdout.write(text)
     else:
@@ -261,8 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"hmstep: cannot write report: {exc}", file=sys.stderr)
-            return 3
+            return _refuse(f"cannot write report: {exc}")
     return code
 
 

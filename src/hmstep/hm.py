@@ -25,7 +25,9 @@ from .core import (
 )
 from .stepfn import (
     StepFn,
+    _canonical,
     canonicalize,
+    common_refinement,
     constant,
     map_values,
     measure_preimage,
@@ -107,6 +109,12 @@ def product_projections(
     firsts = tuple(lab[0] for lab in prod.labels)
     seconds = tuple(lab[1] for lab in prod.labels)
     return SpaceMap(prod, x, firsts), SpaceMap(prod, y, seconds)
+
+
+def pairing(f: StepFn, g: StepFn) -> StepFn:
+    """t ↦ (f(t), g(t)), canonical: over the product of the value spaces, the
+    only step function whose projections are f and g, as projection is pointwise."""
+    return _canonical((cell.end, (cell.left, cell.right)) for cell in common_refinement(f, g))
 
 
 def compose_testfn(phi: TestFn, h: SpaceMap) -> TestFn:

@@ -2,7 +2,7 @@
 
 Builds the staircase witnesses over the n-point base, checks monad laws and
 naturality for any candidate on seeded random samples, decides uniqueness of
-the projection fiber as a product of per-cell label sets, walks the chain of
+the projection fiber by pairing the two projections, walks the chain of
 values any lawful multiplication is forced to take, and probes continuity by
 driving the bump tower toward its limit while watching the images. Every
 check is an exact rational comparison; reports record concrete witnesses
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import count, product as iter_product
+from itertools import count
 
 from .core import (
     FULL_WINDOW,
@@ -38,6 +38,7 @@ from .hm import (
     d_hm,
     functional_eval,
     hm_map,
+    pairing,
     product_projections,
     support,
     support_criterion_check,
@@ -76,7 +77,7 @@ DEFAULT_FIBER_BUDGET = 1_000_000
 
 
 class FiberBudgetError(RuntimeError):
-    """Raised when the fiber enumeration would exceed its assignment budget."""
+    """Raised when a fiber decision would build more than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -142,34 +143,19 @@ class ProbeRow:
 class FiberResult:
     n: int
     grid: int
-    unique: bool
     witnesses: tuple[StepFn, ...]
     checked: int
 
+    @property
+    def unique(self) -> bool:
+        return not self.witnesses
+
     def to_report(self) -> LawReport:
         failures = tuple(
-            LawFailure(
-                input=f"n={self.n} grid={self.grid}",
-                expected="diagonal staircase only",
-                actual=format_stepfn(w),
-            )
+            LawFailure(f"n={self.n} grid={self.grid}", "diagonal staircase only", format_stepfn(w))
             for w in self.witnesses
         )
-        if not self.unique and not failures:
-            failures = (
-                LawFailure(
-                    input=f"n={self.n} grid={self.grid}",
-                    expected="diagonal staircase among solutions",
-                    actual="missing",
-                ),
-            )
-        return LawReport(
-            None,
-            "fiber-uniqueness",
-            self.checked,
-            failures,
-            steps=(("unique", self.unique),),
-        )
+        return LawReport(None, "fiber-uniqueness", self.checked, failures, (("unique", self.unique),))
 
 
 @dataclass(frozen=True)
@@ -579,33 +565,25 @@ def fiber_uniqueness(n: int, grid: int, budget: int = DEFAULT_FIBER_BUDGET) -> F
     """Decide exactly whether the diagonal staircase is the only step function
     over the paired base whose both projections equal the staircase.
 
-    The candidates are the assignments of paired values to the n*grid uniform
-    cells (breakpoints in multiples of 1/(n*grid)); ``checked`` counts them.
-    The projection constraints are per cell, so the fiber is the product of
-    the per-cell allowed label sets; each member is re-confirmed through the
-    functor action. Raises :class:`FiberBudgetError` instead of truncating
-    when cells times labels, or the assignment count, exceeds the budget.
+    Projection acts pointwise, so the only candidate is the pairing of the
+    staircase with itself; it is confirmed through the functor action and
+    compared with the diagonal staircase. ``checked`` counts the assignments
+    of paired values to the n*grid uniform cells that this decision covers.
+    Raises :class:`FiberBudgetError` when cells times labels, which bounds
+    the witness record and the size of ``checked``, exceeds the budget.
     """
     if n < 1 or grid < 1:
         raise ValueError("n and grid must be at least 1")
     cells = n * grid
     n2 = n * n
-    # cells * n2 first: it bounds the grid even at n = 1, where n2**cells is 1
-    if cells * n2 > budget or n2**cells > budget:
+    if cells * n2 > budget:
         raise FiberBudgetError(f"fiber search at n={n} grid={grid} is over the budget of {budget}")
     w = build_witnesses(n)
-    labels = w.pairs.labels
-    # both coordinates at the staircase level of each grid cell
-    allowed = [[lab for lab in labels if lab[0] == lab[1] == k // grid + 1] for k in range(cells)]
-    canonical = {blocks(assign) for assign in iter_product(*allowed)}
-    for g in canonical:
-        if hm_map(w.left_proj, g) != w.staircase or hm_map(w.right_proj, g) != w.staircase:
-            raise RuntimeError("fiber filter and functor action disagree; enumeration is buggy")
-    witnesses = tuple(
-        sorted((g for g in canonical if g != w.diagonal_staircase), key=format_stepfn)
-    )
-    unique = not witnesses and w.diagonal_staircase in canonical
-    return FiberResult(n=n, grid=grid, unique=unique, witnesses=witnesses, checked=n2**cells)
+    paired = pairing(w.staircase, w.staircase)
+    if hm_map(w.left_proj, paired) != w.staircase or hm_map(w.right_proj, paired) != w.staircase:
+        raise RuntimeError("pairing and functor action disagree; the pairing is buggy")
+    witnesses = () if paired == w.diagonal_staircase else (paired,)
+    return FiberResult(n=n, grid=grid, witnesses=witnesses, checked=n2**cells)
 
 
 def forced_value_chain(n: int, mu: MuCandidate, seed: int = 0) -> LawReport:

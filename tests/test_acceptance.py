@@ -178,3 +178,16 @@ def test_09_deterministic_reports():
         30.0,
         "two full runs with one seed emit byte-identical JSON",
     )
+
+
+def test_10_fiber_frontier():
+    start = time.perf_counter()
+    results = [fiber_uniqueness(n, 2) for n in range(1, 65)]
+    ok = all(r.unique and r.witnesses == () for r in results)
+    _finish(
+        "fiber-frontier",
+        ok,
+        time.perf_counter() - start,
+        2.0,
+        "n=1..64 at grid 2: the pairing of the staircase is the diagonal staircase",
+    )

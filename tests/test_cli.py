@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hmstep
 from hmstep.cli import Report, RunConfig, emit_report, main, parse_config, run
+
+SRC = str(Path(hmstep.__file__).resolve().parent.parent)
 
 
 def parse_error_code(argv: list[str]) -> int:
@@ -155,9 +163,44 @@ class TestMain:
         assert parse_error_code(["--format", "yaml"]) == 2
 
     def test_fiber_budget_exit_three(self, capsys):
-        assert main(["fiber", "--n-range", "4:4"]) == 3
+        assert main(["fiber", "--n-range", "80:80"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("hmstep:") and "budget" in err
+
+    def test_fiber_frontier_of_the_default_budget(self, capsys):
+        # cells * n^2 is 158 * 6241 = 986,078 at n = 79, and 1,024,000 at n = 80
+        assert main(["fiber", "--n-range", "79:79", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["suites"][0]["steps"] == [{"step": "unique", "holds": True}]
+        assert main(["fiber", "--n-range", "80:80"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("hmstep:")
+
+    def test_fiber_count_too_long_to_print_exit_three(self, capsys):
+        # within the budget (20000 cells * 4), but 4**20000 has more digits than Python prints
+        assert main(["fiber", "--n-range", "2:2", "--grid", "10000"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("hmstep:")
+
+    def test_out_of_memory_exit_three(self):
+        # n = 3000 builds a nine-million-point product space; a low address
+        # space limit turns that into a MemoryError well under a second
+        def limit_memory() -> None:
+            limit = 128 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmstep", "laws", "--n-range", "3000:3000", "--samples", "1"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == "" and proc.stderr == "hmstep: out of memory\n"
 
     def test_out_file_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,14 +1,15 @@
-"""The factored fiber search against brute force, and its budget.
+"""The fiber decision against brute force, and its budget.
 
-``fiber_uniqueness`` lists the fiber as the product of the per-cell allowed
-label sets. The independent oracle is ``brute_force_fiber`` from
-``test_laws``, which builds every grid step function over the paired space
-and keeps those whose projections, taken through the functor action, are
-both the staircase. The two are compared on every (n, grid) with at most
-5000 assignments.
+``fiber_uniqueness`` decides the fiber by pairing: projection acts
+pointwise, so the only step function over the paired space whose
+projections are both the staircase is the staircase paired with itself.
+The independent oracle is ``brute_force_fiber`` from ``test_laws``, which
+builds every grid step function over the paired space and keeps those whose
+projections, taken through the functor action, are both the staircase. The
+two are compared on every (n, grid) with at most 5000 assignments.
 
-The budget bounds the per-cell table as well as the assignment count, so a
-huge grid is refused before any work, also at n = 1 where the count is 1.
+The budget has one clause, cells times labels, so a huge grid is refused
+before any work, also at n = 1 where the assignment count is 1.
 """
 
 from __future__ import annotations

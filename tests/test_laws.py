@@ -184,7 +184,7 @@ class TestFiberUniqueness:
 
     def test_budget_guard(self):
         with pytest.raises(FiberBudgetError):
-            fiber_uniqueness(3, 3)
+            fiber_uniqueness(80, 2)
         with pytest.raises(FiberBudgetError):
             fiber_uniqueness(2, 2, budget=10)
 
