@@ -55,6 +55,7 @@ from .tower import (
 )
 from .laws import (
     CANDIDATES,
+    BudgetError,
     FiberBudgetError,
     FiberResult,
     LawReport,

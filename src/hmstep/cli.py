@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .laws import (
     CANDIDATES,
-    FiberBudgetError,
+    DEFAULT_SAMPLE_BUDGET,
+    BudgetError,
     LawReport,
     ProbeRow,
     check_associativity,
@@ -172,14 +173,21 @@ def _law_block(candidate: str, samples: int, seed: int, chain_ns: range) -> list
 def run(config: RunConfig) -> tuple[int, Report]:
     """Execute the configured command; returns (exit_code, report).
 
-    May raise :class:`FiberBudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
+    May raise :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
     """
     suites: list[LawReport] = []
     probe_rows: list[ProbeRow] = []
     lo, hi = config.n_range
     mu = CANDIDATES[config.candidate]
+    grid = config.grid or 12
+    # laws reads no grid, so its suites run at the default 12 whatever --grid says
+    counted = grid if config.command in ("lemmas", "all") else 12
+    if config.command in ("lemmas", "laws", "all") and config.samples * counted > DEFAULT_SAMPLE_BUDGET:
+        raise BudgetError(
+            f"samples times grid ({config.samples} x {counted}) is over the budget of {DEFAULT_SAMPLE_BUDGET}"
+        )
     if config.command in ("lemmas", "all"):
-        suites.extend(_lemma_block(config.samples, config.seed, config.grid or 12))
+        suites.extend(_lemma_block(config.samples, config.seed, grid))
     if config.command == "laws":
         suites.extend(_law_block(config.candidate, config.samples, config.seed, range(lo, hi + 1)))
     elif config.command == "all":
@@ -256,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     config = parse_config(sys.argv[1:] if argv is None else argv)
     try:
         code, report = run(config)
-    except (FiberBudgetError, MemoryError) as exc:
+    except (BudgetError, MemoryError) as exc:
         return _refuse(str(exc) or "out of memory")
     try:
         text = emit_report(report, config.format)

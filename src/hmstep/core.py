@@ -4,9 +4,12 @@ Every quantity in this toolkit is an exact rational: breakpoints of step
 functions, metric values, window averages. ``Rat`` is the standard-library
 ``fractions.Fraction``, which maintains the reduced form (gcd one, positive
 denominator) after every operation, so arithmetic is exact by construction.
-Floats are rejected at the boundaries; rounding never enters. A
-``FiniteSpace`` without a distance table (``dist=None``) carries the discrete
-metric, and equality of spaces follows how they were built.
+It is the type of distances, test-function values, window ends and every
+reported quantity; step functions store their breakpoints as integer ticks
+over one denominator instead (see ``stepfn``) and show them as ``Rat`` only
+at their boundary. Floats are rejected at the boundaries; rounding never
+enters. A ``FiniteSpace`` without a distance table (``dist=None``) carries
+the discrete metric, and equality of spaces follows how they were built.
 """
 
 from __future__ import annotations

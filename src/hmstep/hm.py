@@ -26,8 +26,8 @@ from .core import (
 from .stepfn import (
     StepFn,
     _canonical,
+    _cells,
     canonicalize,
-    common_refinement,
     constant,
     map_values,
     measure_preimage,
@@ -114,7 +114,8 @@ def product_projections(
 def pairing(f: StepFn, g: StepFn) -> StepFn:
     """t ↦ (f(t), g(t)), canonical: over the product of the value spaces, the
     only step function whose projections are f and g, as projection is pointwise."""
-    return _canonical((cell.end, (cell.left, cell.right)) for cell in common_refinement(f, g))
+    den, cells = _cells(f, g)
+    return _canonical(den, ((end, pair) for _, end, pair in cells))
 
 
 def compose_testfn(phi: TestFn, h: SpaceMap) -> TestFn:

@@ -74,9 +74,16 @@ CANDIDATES: dict[str, MuCandidate] = {
 }
 
 DEFAULT_FIBER_BUDGET = 1_000_000
+# samples times grid for the sampled suites of lemmas, laws and all: 1000
+# samples at the default grid 12; a suite's cost grows faster than its grid
+DEFAULT_SAMPLE_BUDGET = 12_000
 
 
-class FiberBudgetError(RuntimeError):
+class BudgetError(RuntimeError):
+    """Raised before any work when a run would do more than its budget allows."""
+
+
+class FiberBudgetError(BudgetError):
     """Raised when a fiber decision would build more than its budget allows."""
 
 
@@ -194,7 +201,7 @@ def bump_fn(i: int, n: int) -> StepFn:
     """Two-point indicator of the i-th block: 1 on [(i-1)/n, i/n), else 0."""
     if not 1 <= i <= n:
         raise ValueError(f"block index {i} is outside 1..{n}")
-    return _canonical(((Rat(i - 1, n), 0), (Rat(i, n), 1), (ONE, 0)))
+    return _canonical(n, ((i - 1, 0), (i, 1), (n, 0)))
 
 
 def nested_bumps_fn(n: int) -> StepFn2:
@@ -439,9 +446,9 @@ def _split_variant(f: StepFn, rng: random.Random) -> StepFn:
     # same almost-everywhere class, non-canonical representation
     f = canonicalize(f)
     i = rng.randrange(f.pieces)
-    t0, t1 = f.breakpoints[i], f.breakpoints[i + 1]
-    mid = (t0 + t1) / 2
-    bps = f.breakpoints[: i + 1] + (mid,) + f.breakpoints[i + 1 :]
+    bps = f.breakpoints
+    mid = (bps[i] + bps[i + 1]) / 2
+    bps = bps[: i + 1] + (mid,) + bps[i + 1 :]
     vals = f.values[: i + 1] + (f.values[i],) + f.values[i + 1 :]
     return StepFn(bps, vals)
 
@@ -567,10 +574,11 @@ def fiber_uniqueness(n: int, grid: int, budget: int = DEFAULT_FIBER_BUDGET) -> F
 
     Projection acts pointwise, so the only candidate is the pairing of the
     staircase with itself; it is confirmed through the functor action and
-    compared with the diagonal staircase. ``checked`` counts the assignments
-    of paired values to the n*grid uniform cells that this decision covers.
-    Raises :class:`FiberBudgetError` when cells times labels, which bounds
-    the witness record and the size of ``checked``, exceeds the budget.
+    compared with the diagonal staircase; only those, the paired base and its
+    projections are built. ``checked`` counts the assignments of paired
+    values to the n*grid uniform cells that this decision covers. Raises
+    :class:`FiberBudgetError` when cells times labels, which bounds the
+    paired base and the size of ``checked``, exceeds the budget.
     """
     if n < 1 or grid < 1:
         raise ValueError("n and grid must be at least 1")
@@ -578,11 +586,13 @@ def fiber_uniqueness(n: int, grid: int, budget: int = DEFAULT_FIBER_BUDGET) -> F
     n2 = n * n
     if cells * n2 > budget:
         raise FiberBudgetError(f"fiber search at n={n} grid={grid} is over the budget of {budget}")
-    w = build_witnesses(n)
-    paired = pairing(w.staircase, w.staircase)
-    if hm_map(w.left_proj, paired) != w.staircase or hm_map(w.right_proj, paired) != w.staircase:
+    base = make_discrete_space(n)
+    left_proj, right_proj = product_projections(product_space(base, base), base, base)
+    staircase = staircase_fn(n)
+    paired = pairing(staircase, staircase)
+    if hm_map(left_proj, paired) != staircase or hm_map(right_proj, paired) != staircase:
         raise RuntimeError("pairing and functor action disagree; the pairing is buggy")
-    witnesses = () if paired == w.diagonal_staircase else (paired,)
+    witnesses = () if paired == blocks((i, i) for i in range(1, n + 1)) else (paired,)
     return FiberResult(n=n, grid=grid, witnesses=witnesses, checked=n2**cells)
 
 

@@ -9,6 +9,14 @@ adjacent values distinct), and canonical forms are what every equality in
 this toolkit compares. The kernels every level shares (``map_values``,
 ``refinement_integral``, ``window_average``) take the level's part as a callable.
 
+The partition is stored on one integer grid: ``den`` is the least common
+denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
+compare and measure in ints. ``Rat`` appears only at the edges: the
+``breakpoints`` view, the public constructor and parser, window ends, the
+cells of :func:`common_refinement`, the weights a kernel's callable returns
+(summed as integer numerators over their running lcm) and each kernel's one
+result.
+
 Validation happens once, at the public boundary: the ``StepFn`` constructor,
 :func:`from_segments` and :func:`parse_stepfn` coerce and check whatever they
 are given. Internal producers (``blocks``, ``map_values``, ``canonicalize``,
@@ -20,42 +28,60 @@ no second validation pass.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .core import FULL_WINDOW, ONE, ZERO, FiniteSpace, Rat, Window, as_rat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepFn:
-    """Breakpoints and per-piece values; not necessarily canonical.
+    """Ticks over one denominator and per-piece values; not necessarily canonical.
 
-    The constructor is the validating boundary: it coerces every breakpoint
-    to a ``Rat`` and checks the partition shape (sorted breakpoints from 0
-    to 1, one value per piece), but deliberately admits zero-length and
-    mergeable pieces so that :func:`canonicalize` has something to do.
-    Results derived from checked inputs are built by ``_trusted`` instead.
+    ``StepFn(breakpoints, values)`` is the validating boundary: it coerces
+    every breakpoint to a ``Rat``, checks the partition shape (sorted
+    breakpoints from 0 to 1, one value per piece) and moves it onto the
+    integer grid, but deliberately admits zero-length and mergeable pieces
+    so that :func:`canonicalize` has something to do. Since ``den`` is the
+    least common denominator, equal partitions have equal fields, so ``==``
+    and ``hash`` mean "same breakpoints, same values". Results derived from
+    checked inputs are built by ``_trusted`` instead.
     """
 
-    breakpoints: tuple[Rat, ...]
+    den: int
+    ticks: tuple[int, ...]
     values: tuple
 
-    def __post_init__(self) -> None:
-        bps = tuple(as_rat(t) for t in self.breakpoints)
-        vals = tuple(self.values)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, breakpoints: Iterable[int | str | Rat], values: Iterable) -> None:
+        # the checks keep the dataclass hook's name: perfbench's tracer counts
+        # validated constructions as calls of StepFn.__post_init__
+        self.__post_init__(breakpoints, values)
+
+    def __post_init__(self, breakpoints: Iterable[int | str | Rat], values: Iterable) -> None:
+        bps = tuple(as_rat(t) for t in breakpoints)
+        vals = tuple(values)
         if len(bps) < 2:
             raise ValueError("a step function needs breakpoints 0 and 1")
         if len(vals) != len(bps) - 1:
             raise ValueError("need exactly one value per piece")
         if bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        for t0, t1 in zip(bps, bps[1:]):
-            if t1 < t0:
-                raise ValueError("breakpoints must be sorted")
+        den = lcm(*(t.denominator for t in bps))
+        ticks = tuple(t.numerator * (den // t.denominator) for t in bps)
+        if any(t1 < t0 for t0, t1 in zip(ticks, ticks[1:])):
+            raise ValueError("breakpoints must be sorted")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ticks", ticks)
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def breakpoints(self) -> tuple[Rat, ...]:
+        """The partition as ``Rat``s, built on demand from the ticks."""
+        den = self.den
+        return tuple(Rat(t, den) for t in self.ticks)
 
     @property
     def pieces(self) -> int:
@@ -63,48 +89,55 @@ class StepFn:
 
     def segments(self) -> Iterable[tuple[Rat, Rat, object]]:
         """Yield (start, end, value) per stored piece, zero-length included."""
-        return zip(self.breakpoints, self.breakpoints[1:], self.values)
+        bps = self.breakpoints
+        return zip(bps, bps[1:], self.values)
 
     @property
     def is_canonical(self) -> bool:
         return canonicalize(self) is self
 
 
-def _trusted(breakpoints: tuple[Rat, ...], values: tuple) -> StepFn:
+def _trusted(den: int, ticks: tuple[int, ...], values: tuple) -> StepFn:
     """A ``StepFn`` over a partition already known to be valid, built without
-    coercion or checks. Only for results derived from validated inputs:
-    breakpoints are ``Rat`` tuples from 0 to 1 in order, one value per piece."""
+    coercion or checks: int ticks from 0 to den in order, one value per piece.
+    A factor common to den and every tick, left where a merge dropped the
+    breakpoints that needed it, is divided out."""
+    g = gcd(den, *ticks)
+    if g > 1:
+        den //= g
+        ticks = tuple(t // g for t in ticks)
     f = object.__new__(StepFn)
-    object.__setattr__(f, "breakpoints", breakpoints)
+    object.__setattr__(f, "den", den)
+    object.__setattr__(f, "ticks", ticks)
     object.__setattr__(f, "values", values)
     return f
 
 
-def _merged(pieces: Iterable[tuple[object, object]], start: object = ZERO) -> tuple[list, list]:
+def _merged(pieces: Iterable[tuple[int, object]]) -> tuple[list[int], list]:
     """The merge scan behind every canonical form.
 
-    ``pieces`` are (end, value) pairs of a contiguous partition that begins
-    at ``start``; a piece ending where the previous one ended has zero length
+    ``pieces`` are (end tick, value) pairs of a contiguous partition that
+    begins at 0; a piece ending where the previous one ended has zero length
     and is dropped, and a value equal to its left neighbour's extends that
-    neighbour. Returns the kept breakpoints (``start`` first) and values.
+    neighbour. Returns the kept ticks (0 first) and values.
     """
-    bps = [start]
+    ticks = [0]
     vals: list = []
     for end, v in pieces:
-        if end == bps[-1]:
+        if end == ticks[-1]:
             continue
         if vals and vals[-1] == v:
-            bps[-1] = end
+            ticks[-1] = end
         else:
-            bps.append(end)
+            ticks.append(end)
             vals.append(v)
-    return bps, vals
+    return ticks, vals
 
 
-def _canonical(pieces: Iterable[tuple[Rat, object]]) -> StepFn:
-    """The canonical step function of checked (end, value) pieces from 0 to 1."""
-    bps, vals = _merged(pieces)
-    return _trusted(tuple(bps), tuple(vals))
+def _canonical(den: int, pieces: Iterable[tuple[int, object]]) -> StepFn:
+    """The canonical step function of checked (end tick, value) pieces from 0 to den."""
+    ticks, vals = _merged(pieces)
+    return _trusted(den, tuple(ticks), tuple(vals))
 
 
 def canonicalize(f: StepFn) -> StepFn:
@@ -115,10 +148,10 @@ def canonicalize(f: StepFn) -> StepFn:
     idempotent and allocates no second ``StepFn`` for canonical input. The
     result has at least one piece.
     """
-    bps, vals = _merged(zip(f.breakpoints[1:], f.values))
+    ticks, vals = _merged(zip(f.ticks[1:], f.values))
     if len(vals) == len(f.values):
         return f
-    return _trusted(tuple(bps), tuple(vals))
+    return _trusted(f.den, tuple(ticks), tuple(vals))
 
 
 def constant(value: object) -> StepFn:
@@ -142,12 +175,12 @@ def from_segments(segments: Iterable[tuple[Rat, Rat, object]]) -> StepFn:
         vals.append(v)
     if not vals or bps[-1] != ONE:
         raise ValueError("segments must cover [0, 1)")
-    return _canonical(zip(bps[1:], vals))
+    return canonicalize(StepFn(bps, vals))
 
 
 def map_values(f: StepFn, fn: Callable[[object], object]) -> StepFn:
     """The canonical form of fn ∘ f: fn applied to every stored value."""
-    return _canonical(zip(f.breakpoints[1:], [fn(v) for v in f.values]))
+    return _canonical(f.den, zip(f.ticks[1:], [fn(v) for v in f.values]))
 
 
 def evaluate(f: StepFn, t: int | str | Rat) -> object:
@@ -155,7 +188,8 @@ def evaluate(f: StepFn, t: int | str | Rat) -> object:
     t = as_rat(t)
     if not (ZERO <= t < ONE):
         raise ValueError(f"step functions are defined on [0, 1), got {t}")
-    i = bisect_right(f.breakpoints, t) - 1
+    # the last piece starting at or before t, i.e. at or before floor(t * den)
+    i = bisect_right(f.ticks, t.numerator * f.den // t.denominator) - 1
     return f.values[i]
 
 
@@ -166,6 +200,33 @@ class RefinementCell(NamedTuple):
     right: object
 
 
+def _cells(f: StepFn, g: StepFn) -> tuple[int, list[list]]:
+    """The refinement behind :func:`common_refinement`: [start, end, (left,
+    right)] cells in ticks over den = lcm(f.den, g.den), returned with den."""
+    den = lcm(f.den, g.den)
+    sf, sg = den // f.den, den // g.den
+    ft, gt = [t * sf for t in f.ticks], [t * sg for t in g.ticks]
+    fv, gv = f.values, g.values
+    cells: list[list] = []
+    i = j = cur = 0
+    # trailing zero-length pieces at den add no cell
+    while cur < den:
+        fe, ge = ft[i + 1], gt[j + 1]
+        end = fe if fe <= ge else ge
+        if end > cur:
+            pair = (fv[i], gv[j])
+            if cells and cells[-1][2] == pair:
+                cells[-1][1] = end
+            else:
+                cells.append([cur, end, pair])
+            cur = end
+        if fe == end:
+            i += 1
+        if ge == end:
+            j += 1
+    return den, cells
+
+
 def common_refinement(f: StepFn, g: StepFn) -> list[RefinementCell]:
     """Partition [0, 1) so both functions are constant on every cell.
 
@@ -174,61 +235,56 @@ def common_refinement(f: StepFn, g: StepFn) -> list[RefinementCell]:
     inputs give the cells of their canonical forms: zero-length pieces are
     skipped, and a cell repeating its left neighbour's pair extends it.
     """
-    cells: list[RefinementCell] = []
-    i = j = 0
-    cur = ZERO
-    while i < f.pieces and j < g.pieces:
-        fe = f.breakpoints[i + 1]
-        ge = g.breakpoints[j + 1]
-        end = fe if fe <= ge else ge
-        if end > cur:
-            left, right = f.values[i], g.values[j]
-            if cells and cells[-1].left == left and cells[-1].right == right:
-                cells[-1] = cells[-1]._replace(end=end)
-            else:
-                cells.append(RefinementCell(cur, end, left, right))
-            cur = end
-        if fe == end:
-            i += 1
-        if ge == end:
-            j += 1
-    return cells
+    den, cells = _cells(f, g)
+    return [RefinementCell(Rat(a, den), Rat(b, den), *pair) for a, b, pair in cells]
+
+
+def _weighted_sum(pieces: Iterable[tuple[int, object]], weight: Callable[[object], Rat], den: int) -> Rat:
+    """Sum of length * weight(value) / den over (int length, value) pieces:
+    one integer numerator over the running lcm of the weights' denominators,
+    and one ``Rat`` at the end."""
+    num, q = 0, 1
+    for length, v in pieces:
+        wn, wd = weight(v).as_integer_ratio()
+        if q % wd:
+            m = lcm(q, wd)
+            num *= m // q
+            q = m
+        num += length * wn * (q // wd)
+    return Rat(num, q * den)
 
 
 def refinement_integral(f: StepFn, g: StepFn, dist: Callable[[object, object], Rat]) -> Rat:
     """Integral of dist(f(t), g(t)) over [0, 1); dist sees only unequal values."""
-    total = ZERO
-    for start, end, left, right in common_refinement(f, g):
-        if left != right:
-            total += (end - start) * dist(left, right)
-    return total
-
-
-def overlap_length(start: Rat, end: Rat, window: Window) -> Rat:
-    """Length of [start, end) ∩ (window.a, window.b); 0 when disjoint."""
-    lo = start if start >= window.a else window.a
-    hi = end if end <= window.b else window.b
-    return hi - lo if hi > lo else ZERO
+    den, cells = _cells(f, g)
+    unequal = [(b - a, pair) for a, b, pair in cells if pair[0] != pair[1]]
+    return _weighted_sum(unequal, lambda pair: dist(*pair), den)
 
 
 def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -> Rat:
-    """Exact mean of weight(f(t)) over the window; weight sees only pieces meeting it."""
-    total = ZERO
-    for t0, t1, v in f.segments():
-        seg = overlap_length(t0, t1, window)
-        if seg > ZERO:
-            total += seg * weight(v)
-    return total / window.length
+    """Exact mean of weight(f(t)) over the window; weight sees only pieces
+    meeting it. The pieces are clipped in ticks over a den that puts the
+    window ends on the grid too."""
+    (an, ad), (bn, bd) = window.a.as_integer_ratio(), window.b.as_integer_ratio()
+    den = lcm(f.den, ad, bd)
+    s = den // f.den
+    lo, hi = an * (den // ad), bn * (den // bd)
+    ticks, pieces = f.ticks, []
+    # from the piece holding a (last start <= floor(a * f.den)) to the last
+    # one starting before b (start < ceil(b * f.den))
+    for i in range(bisect_right(ticks, lo // s) - 1, bisect_left(ticks, -(-hi // s))):
+        start, end = ticks[i] * s, ticks[i + 1] * s
+        length = (end if end < hi else hi) - (start if start > lo else lo)
+        if length > 0:
+            pieces.append((length, f.values[i]))
+    return _weighted_sum(pieces, weight, hi - lo)
 
 
 def measure_preimage(f: StepFn, value_set: Iterable, window: Window = FULL_WINDOW) -> Rat:
-    """Exact total length of {t in window : f(t) in value_set}."""
+    """Exact total length of {t in window : f(t) in value_set}: the window's
+    length times the mean of the indicator of value_set."""
     targets = frozenset(value_set)
-    total = ZERO
-    for t0, t1, v in f.segments():
-        if v in targets:
-            total += overlap_length(t0, t1, window)
-    return total
+    return window.length * window_average(f, lambda v: ONE if v in targets else ZERO, window)
 
 
 def as_rng(seed: int | random.Random) -> random.Random:
@@ -241,10 +297,7 @@ def blocks(values: Iterable) -> StepFn:
     values = tuple(values)
     if not values:
         raise ValueError("need at least one block value")
-    n = len(values)
-    # merge on the integer grid, then build a Rat only for each kept breakpoint
-    ks, vals = _merged(zip(range(1, n + 1), values), start=0)
-    return _trusted(tuple(Rat(k, n) for k in ks), tuple(vals))
+    return _canonical(len(values), enumerate(values, 1))
 
 
 def random_stepfn(
@@ -281,8 +334,9 @@ def format_value(v: object) -> str:
 
 
 def format_stepfn(f: StepFn) -> str:
-    parts = [str(f.breakpoints[0])]
-    for t0, t1, v in f.segments():
+    bps = f.breakpoints
+    parts = [str(bps[0])]
+    for t1, v in zip(bps[1:], f.values):
         parts.append(format_value(v))
         parts.append(str(t1))
     return " ".join(parts)

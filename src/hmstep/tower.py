@@ -8,7 +8,8 @@ the level-2 integral metric, iterated window-average coordinates, and
 flatten candidates (multiplication proposals) with their level-3 lifts.
 The level-2 functor action, metric and coordinates reuse the ``stepfn``
 kernels behind their level-1 twins in ``hm``, with a level-1 operation as
-the callable.
+the callable; the metric and coordinates check every inner point once, up
+front, and then call the bare level-1 kernel.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
+from math import lcm
 from typing import Callable
 
 from .core import FiniteSpace, Rat, TestFn, Window, ZERO
-from .hm import Functional, SpaceMap, d_hm, functional_eval, hm_map
+from .hm import SpaceMap, _check_points, hm_map
 from .stepfn import (
     StepFn,
     _canonical,
@@ -40,10 +42,12 @@ StepFn2 = StepFn
 StepFn3 = StepFn
 
 
-def _check_nested(F: StepFn) -> None:
+def _check_nested(F: StepFn, space: FiniteSpace | None = None) -> None:
     for v in F.values:
         if not isinstance(v, StepFn):
             raise ValueError("expected a nested step function (values must be step functions)")
+    if space is not None:
+        _check_points(space, (x for g in F.values for x in g.values))
 
 
 def h_eta(f: StepFn) -> StepFn2:
@@ -69,27 +73,30 @@ def diagonal_flatten(F: StepFn2) -> StepFn:
     """The diagonal multiplication candidate: s maps to F(s)(s).
 
     On each outer piece the inner function's breakpoints are clipped to the
-    piece, so the result is again an exact step function. Satisfies both
-    unit laws, associativity, and naturality at the step-function level.
+    piece, so the result is again an exact step function; the outer ticks
+    and those of every inner function read are rescaled to the lcm of their
+    dens. Satisfies both unit laws, associativity, and naturality at the
+    step-function level.
     """
     _check_nested(F)
+    live = [(u, v, g) for u, v, g in zip(F.ticks, F.ticks[1:], F.values) if v > u]
+    den = lcm(F.den, *(g.den for _, _, g in live))
+    s = den // F.den
     pieces = []
-    for u, v, g in F.segments():
-        if v <= u:
-            continue
+    for u, v, g in live:
+        u, v, sg, ticks = u * s, v * s, den // g.den, g.ticks
         # the inner pieces meeting [u, v): from the one holding u to the last starting before v
-        bps = g.breakpoints
-        for i in range(bisect_right(bps, u) - 1, bisect_left(bps, v)):
-            end = bps[i + 1]
+        for i in range(bisect_right(ticks, u // sg) - 1, bisect_left(ticks, -(-v // sg))):
+            end = ticks[i + 1] * sg
             pieces.append((end if end <= v else v, g.values[i]))
-    return _canonical(pieces)
+    return _canonical(den, pieces)
 
 
 def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
     """Integral over the outer variable of d_hm between inner functions."""
-    _check_nested(F)
-    _check_nested(G)
-    return refinement_integral(F, G, partial(d_hm, space))
+    _check_nested(F, space)
+    _check_nested(G, space)
+    return refinement_integral(F, G, partial(refinement_integral, dist=space.distance))
 
 
 def iterated_functional_eval(
@@ -100,8 +107,8 @@ def iterated_functional_eval(
     This is the level-2 coordinate obtained by averaging the level-1
     coordinate (phi over ``inner``) of F(s) for s in ``outer``.
     """
-    _check_nested(F)
-    return window_average(F, partial(functional_eval, Functional(phi, inner)), outer)
+    _check_nested(F, phi.space)
+    return window_average(F, partial(window_average, weight=phi, window=inner), outer)
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,7 @@ def _remap_last(F: StepFn2) -> StepFn:
     flat = diagonal_flatten(F)
     if flat.pieces == 1:
         return flat
-    return _trusted(flat.breakpoints, flat.values[:-1] + (flat.values[0],))
+    return _trusted(flat.den, flat.ticks, flat.values[:-1] + (flat.values[0],))
 
 
 DIAGONAL = MuCandidate("diagonal", diagonal_flatten)

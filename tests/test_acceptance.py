@@ -191,3 +191,16 @@ def test_10_fiber_frontier():
         2.0,
         "n=1..64 at grid 2: the pairing of the staircase is the diagonal staircase",
     )
+
+
+def test_11_probe_frontier():
+    start = time.perf_counter()
+    rows = discontinuity_probe(DIAGONAL, 400)
+    ok = len(rows) == 400 and all(row.holds for row in rows)
+    _finish(
+        "probe-frontier",
+        ok,
+        time.perf_counter() - start,
+        5.0,
+        "n=1..400 image gap 1 at level-2 distance 1/n",
+    )

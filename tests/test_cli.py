@@ -13,6 +13,8 @@ import pytest
 
 import hmstep
 from hmstep.cli import Report, RunConfig, emit_report, main, parse_config, run
+from hmstep.laws import DEFAULT_SAMPLE_BUDGET
+from test_fiber_factored import TIMED_MAIN, _limit_memory
 
 SRC = str(Path(hmstep.__file__).resolve().parent.parent)
 
@@ -239,3 +241,48 @@ class TestRunConfig:
         d = report.to_dict()
         assert d["tool_version"] == report.tool_version
         assert d["config"]["command"] == "probe"
+
+
+class TestSampleBudget:
+    """samples times grid is refused over ``DEFAULT_SAMPLE_BUDGET`` before any work."""
+
+    @pytest.mark.parametrize("argv", (
+        ["lemmas", "--grid", "1000000000", "--samples", "1"],
+        ["lemmas", "--samples", "1000000000"],
+    ))
+    def test_unbounded_samples_exit_three_at_once(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", TIMED_MAIN, *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("hmstep:") and "budget" in lines[0]
+        assert float(proc.stdout) < 0.1
+
+    @pytest.mark.parametrize("command", ("lemmas", "all"))
+    def test_one_over_the_budget_is_refused(self, command):
+        config = RunConfig(command=command, samples=1, grid=DEFAULT_SAMPLE_BUDGET + 1)
+        with pytest.raises(hmstep.BudgetError):
+            run(config)
+
+    def test_laws_counts_the_default_grid_only(self, capsys):
+        # laws reads no grid: a huge --grid costs nothing, one sample over 1000 is refused
+        with pytest.raises(hmstep.BudgetError):
+            run(RunConfig(command="laws", samples=DEFAULT_SAMPLE_BUDGET // 12 + 1, n_range=(1, 1)))
+        argv = ["laws", "--grid", str(DEFAULT_SAMPLE_BUDGET + 1), "--samples", "1", "--n-range", "1:1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    def test_budget_is_admitted_in_full(self, capsys):
+        # laws reads no grid, so the default 12 counts: 1000 * 12 is the budget exactly
+        assert DEFAULT_SAMPLE_BUDGET == 1000 * 12
+        assert main(["laws", "--samples", "1000", "--n-range", "1:1"]) == 0
+        assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    def test_fiber_ignores_the_sample_budget(self, capsys):
+        assert main(["fiber", "--n-range", "1:1", "--grid", str(DEFAULT_SAMPLE_BUDGET), "--samples", "2"]) == 0

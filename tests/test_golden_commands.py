@@ -1,6 +1,7 @@
 """Golden reports of the single commands that exercise refinement, the metric
-at both levels, the candidates and the fiber search, plus a probe window that
-starts above 1 and the chain on the witness spaces at n = 30..32.
+at both levels, the candidates and the fiber search, plus probe windows that
+start above 1 (up to n = 400), the chain on the witness spaces at n = 30..32
+and the lemma suites on a grid of 30.
 
 Each command runs in a fresh interpreter and its stdout is pinned by sha256,
 so a change in any step-function kernel, in the canonical forms it produces
@@ -29,6 +30,8 @@ GOLDEN_SHA256 = {
     "lemmas --samples 60 --seed 3 --format text": "0273fb7a2bc714009d6ca32b355fce9cf01f4dd9d468fb394c9374ac792ab59c",
     "probe --n-range 100:116 --format csv": "0909d33d6caea4f6bee0fd5d6636614a294416fdb8b1fa2d8815a00ec4af7f31",
     "laws --n-range 30:32 --format json": "96dd86b384d021f79e96ffc9eff18133aef132b28d606bee044541902168f66f",
+    "probe --n-range 380:400 --format csv": "2c978d8ef53b669a506bae35cc28682e31329fa30a1da865a8a6669b53d05d05",
+    "lemmas --samples 200 --seed 4 --grid 30 --format json": "33baad1613258161ac128cf4b4e0af60d5462170f903184ee0e51b361990aa4f",
 }
 
 
