@@ -2,18 +2,18 @@
 
 Provides the integral metric d_hm, window-average coordinates (a test
 function averaged over a window), max-combined pseudometrics, the functor
-action of a point map, the constant-function unit, and exact support
-predicates. Everything is computed over common refinements, so results are
-exact rationals. The metric, the coordinates and the functor action are thin
-callers of the level-generic ``stepfn`` kernels, which ``tower`` reuses one
-level up.
+action of a point map, the pairing of two functions (``stepfn.pairing``,
+re-exported), the constant-function unit, and exact support predicates.
+Each operation checks its points against the base space and then calls a
+level-generic ``stepfn`` kernel, which ``tower`` reuses one level up; the
+integer grid the kernels work on stays inside ``stepfn``. Results are exact
+rationals.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import (
     FULL_WINDOW,
@@ -25,12 +25,11 @@ from .core import (
 )
 from .stepfn import (
     StepFn,
-    _canonical,
-    _cells,
     canonicalize,
     constant,
     map_values,
     measure_preimage,
+    pairing,  # re-exported: hmstep.hm.pairing
     refinement_integral,
     window_average,
 )
@@ -111,13 +110,6 @@ def product_projections(
     return SpaceMap(prod, x, firsts), SpaceMap(prod, y, seconds)
 
 
-def pairing(f: StepFn, g: StepFn) -> StepFn:
-    """t ↦ (f(t), g(t)), canonical: over the product of the value spaces, the
-    only step function whose projections are f and g, as projection is pointwise."""
-    den, cells = _cells(f, g)
-    return _canonical(den, ((end, pair) for _, end, pair in cells))
-
-
 def compose_testfn(phi: TestFn, h: SpaceMap) -> TestFn:
     """phi ∘ h, a test function on h's source."""
     if phi.space != h.target:
@@ -174,8 +166,8 @@ def hm_n_membership(f: StepFn) -> int:
 
 def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
     """Coordinate test for support containment: true iff every indicator of a
-    point outside ``b_set`` averages to zero over every window spanned by
-    f's breakpoints (including the full window).
+    point outside ``b_set`` averages to zero over the full window. An
+    indicator is nonnegative, so that is zero over every window at once.
 
     Agrees exactly with ``support(f) <= b_set``.
     """
@@ -184,15 +176,11 @@ def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
         raise ValueError("the candidate support set must be nonempty")
     _check_points(space, targets)
     _check_points(space, f.values)
-    outside = [y for y in space.labels if y not in targets]
-    # every window spanned by f's breakpoints, which must be distinct; (0, 1) is among them
-    windows = [Window(a, b) for a, b in combinations(canonicalize(f).breakpoints, 2)]
-    for y in outside:
-        ind = TestFn.indicator(space, y)
-        for w in windows:
-            if functional_eval(Functional(ind, w), f) != ZERO:
-                return False
-    return True
+    return all(
+        functional_eval(Functional(TestFn.indicator(space, y), FULL_WINDOW), f) == ZERO
+        for y in space.labels
+        if y not in targets
+    )
 
 
 def support_membership_check(space: FiniteSpace, f: StepFn, x: object) -> bool:

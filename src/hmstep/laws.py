@@ -75,7 +75,7 @@ CANDIDATES: dict[str, MuCandidate] = {
 
 DEFAULT_FIBER_BUDGET = 1_000_000
 # samples times grid for the sampled suites of lemmas, laws and all: 1000
-# samples at the default grid 12; a suite's cost grows faster than its grid
+# samples at the default grid 12; each suite's cost is linear in its grid
 DEFAULT_SAMPLE_BUDGET = 12_000
 
 
@@ -227,7 +227,7 @@ def build_witnesses(n: int) -> Witnesses:
     row_staircases = tuple(blocks((i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
     nested_rows = blocks(row_staircases)
     bumps = tuple(bump_fn(i, n) for i in range(1, n + 1))
-    nested_bumps = nested_bumps_fn(n)
+    nested_bumps = blocks(bumps)
     if (
         hm_map(left_proj, diagonal_staircase) != staircase
         or hm_map(right_proj, diagonal_staircase) != staircase

@@ -6,21 +6,24 @@ opaque hashable objects: points of a finite space, or step functions
 themselves, so one generic type realizes every nesting level. Two functions
 that agree almost everywhere share a canonical form (no zero-length pieces,
 adjacent values distinct), and canonical forms are what every equality in
-this toolkit compares. The kernels every level shares (``map_values``,
-``refinement_integral``, ``window_average``) take the level's part as a callable.
+this toolkit compares. ``hm`` and ``tower`` validate, then call the kernels
+every level shares: ``pairing``, the flatten ``diagonal`` and, taking the
+level's part as a callable, ``map_values``, ``refinement_integral`` and
+``window_average``.
 
 The partition is stored on one integer grid: ``den`` is the least common
 denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
-compare and measure in ints. ``Rat`` appears only at the edges: the
-``breakpoints`` view, the public constructor and parser, window ends, the
-cells of :func:`common_refinement`, the weights a kernel's callable returns
-(summed as integer numerators over their running lcm) and each kernel's one
-result.
+compare and measure in ints. Only this module reads the grid; ``laws.bump_fn``
+alone builds on it, through ``_canonical``. ``Rat`` appears only at the
+edges: the ``breakpoints`` view, the public constructor and parser, window
+ends, the cells of :func:`common_refinement`, the weights a kernel's callable
+returns (summed as integer numerators over their running lcm) and each
+kernel's one result.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor,
 :func:`from_segments` and :func:`parse_stepfn` coerce and check whatever they
 are given. Internal producers (``blocks``, ``map_values``, ``canonicalize``,
-the flatten candidates) derive their partitions from inputs already checked,
+``pairing``, ``diagonal``) derive their partitions from inputs already checked,
 so they run the one merge scan and build their canonical result once, with
 no second validation pass.
 """
@@ -239,6 +242,13 @@ def common_refinement(f: StepFn, g: StepFn) -> list[RefinementCell]:
     return [RefinementCell(Rat(a, den), Rat(b, den), *pair) for a, b, pair in cells]
 
 
+def pairing(f: StepFn, g: StepFn) -> StepFn:
+    """t ↦ (f(t), g(t)), canonical (the refinement's cells are already merged): the
+    only step function whose projections are f and g, as projection is pointwise."""
+    den, cells = _cells(f, g)
+    return _trusted(den, (0, *(c[1] for c in cells)), tuple(c[2] for c in cells))
+
+
 def _weighted_sum(pieces: Iterable[tuple[int, object]], weight: Callable[[object], Rat], den: int) -> Rat:
     """Sum of length * weight(value) / den over (int length, value) pieces:
     one integer numerator over the running lcm of the weights' denominators,
@@ -261,6 +271,12 @@ def refinement_integral(f: StepFn, g: StepFn, dist: Callable[[object, object], R
     return _weighted_sum(unequal, lambda pair: dist(*pair), den)
 
 
+def _meeting(ticks: tuple[int, ...], s: int, lo: int, hi: int) -> range:
+    """Indices of the pieces meeting [lo, hi) on a grid s times finer than ticks:
+    the last start <= floor(lo / s) up to the last start < ceil(hi / s)."""
+    return range(bisect_right(ticks, lo // s) - 1, bisect_left(ticks, -(-hi // s)))
+
+
 def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -> Rat:
     """Exact mean of weight(f(t)) over the window; weight sees only pieces
     meeting it. The pieces are clipped in ticks over a den that puts the
@@ -270,14 +286,27 @@ def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -
     s = den // f.den
     lo, hi = an * (den // ad), bn * (den // bd)
     ticks, pieces = f.ticks, []
-    # from the piece holding a (last start <= floor(a * f.den)) to the last
-    # one starting before b (start < ceil(b * f.den))
-    for i in range(bisect_right(ticks, lo // s) - 1, bisect_left(ticks, -(-hi // s))):
+    for i in _meeting(ticks, s, lo, hi):
         start, end = ticks[i] * s, ticks[i + 1] * s
         length = (end if end < hi else hi) - (start if start > lo else lo)
         if length > 0:
             pieces.append((length, f.values[i]))
     return _weighted_sum(pieces, weight, hi - lo)
+
+
+def diagonal(F: StepFn) -> StepFn:
+    """The canonical s ↦ F(s)(s) for step-function values F(s): per outer piece of
+    positive length, the inner pieces meeting it, clipped, over the lcm of the dens read."""
+    live = [(u, v, g) for u, v, g in zip(F.ticks, F.ticks[1:], F.values) if v > u]
+    den = lcm(F.den, *(g.den for _, _, g in live))
+    s = den // F.den
+    pieces = []
+    for u, v, g in live:
+        u, v, sg, ticks = u * s, v * s, den // g.den, g.ticks
+        for i in _meeting(ticks, sg, u, v):
+            end = ticks[i + 1] * sg
+            pieces.append((end if end <= v else v, g.values[i]))
+    return _canonical(den, pieces)
 
 
 def measure_preimage(f: StepFn, value_set: Iterable, window: Window = FULL_WINDOW) -> Rat:

@@ -6,31 +6,28 @@ opaque, the same type serves every level, and the operations here are the
 level-aware ones: the two nestings of the unit, the level-2 functor action,
 the level-2 integral metric, iterated window-average coordinates, and
 flatten candidates (multiplication proposals) with their level-3 lifts.
-The level-2 functor action, metric and coordinates reuse the ``stepfn``
-kernels behind their level-1 twins in ``hm``, with a level-1 operation as
-the callable; the metric and coordinates check every inner point once, up
-front, and then call the bare level-1 kernel.
+Each operation checks its nesting (the metric and coordinates also every
+inner point, once, up front), then calls a ``stepfn`` kernel with a level-1
+operation as its callable (``hm_map``, or the bare level-1 kernel for the
+metric and coordinates); the diagonal flatten is ``stepfn.diagonal``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from math import lcm
 from typing import Callable
 
 from .core import FiniteSpace, Rat, TestFn, Window, ZERO
 from .hm import SpaceMap, _check_points, hm_map
 from .stepfn import (
     StepFn,
-    _canonical,
-    _trusted,
     as_rng,
     blocks,
     canonicalize,
     constant,
+    diagonal,
     evaluate,
     map_values,
     random_stepfn,
@@ -73,23 +70,11 @@ def diagonal_flatten(F: StepFn2) -> StepFn:
     """The diagonal multiplication candidate: s maps to F(s)(s).
 
     On each outer piece the inner function's breakpoints are clipped to the
-    piece, so the result is again an exact step function; the outer ticks
-    and those of every inner function read are rescaled to the lcm of their
-    dens. Satisfies both unit laws, associativity, and naturality at the
-    step-function level.
+    piece, so the result is again an exact step function. Satisfies both
+    unit laws, associativity, and naturality at the step-function level.
     """
     _check_nested(F)
-    live = [(u, v, g) for u, v, g in zip(F.ticks, F.ticks[1:], F.values) if v > u]
-    den = lcm(F.den, *(g.den for _, _, g in live))
-    s = den // F.den
-    pieces = []
-    for u, v, g in live:
-        u, v, sg, ticks = u * s, v * s, den // g.den, g.ticks
-        # the inner pieces meeting [u, v): from the one holding u to the last starting before v
-        for i in range(bisect_right(ticks, u // sg) - 1, bisect_left(ticks, -(-v // sg))):
-            end = ticks[i + 1] * sg
-            pieces.append((end if end <= v else v, g.values[i]))
-    return _canonical(den, pieces)
+    return diagonal(F)
 
 
 def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
@@ -142,9 +127,7 @@ def _remap_last(F: StepFn2) -> StepFn:
     # deliberately broken: flattens, then overwrites the last piece's value
     # with the first piece's value; not natural under collapsing maps
     flat = diagonal_flatten(F)
-    if flat.pieces == 1:
-        return flat
-    return _trusted(flat.den, flat.ticks, flat.values[:-1] + (flat.values[0],))
+    return StepFn(flat.breakpoints, flat.values[:-1] + (flat.values[0],))
 
 
 DIAGONAL = MuCandidate("diagonal", diagonal_flatten)

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,22 @@ class TestSampleBudget:
         assert DEFAULT_SAMPLE_BUDGET == 1000 * 12
         assert main(["laws", "--samples", "1000", "--n-range", "1:1"]) == 0
         assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    def test_admitted_lemma_edge_runs_in_seconds(self):
+        # the whole budget on one sample: every lemma suite is linear in grid
+        argv = ["lemmas", "--samples", "1", "--grid", str(DEFAULT_SAMPLE_BUDGET)]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmstep", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_memory,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 5, f"lemmas at the budget's edge took {elapsed:.1f} s"
 
     def test_fiber_ignores_the_sample_budget(self, capsys):
         assert main(["fiber", "--n-range", "1:1", "--grid", str(DEFAULT_SAMPLE_BUDGET), "--samples", "2"]) == 0

@@ -1,0 +1,119 @@
+"""``stepfn`` owns the integer-tick grid; ``hm`` and ``tower`` only call it.
+
+Checked here:
+
+* the module structure, read from the source with ``ast``: ``hm`` and
+  ``tower`` import no ``_``-prefixed name from ``stepfn``, neither ``lcm``
+  nor ``gcd``, nothing from ``bisect``, and read no ``ticks`` or ``den``
+  attribute; the one private ``stepfn`` import in ``laws`` is ``_canonical``
+  (for ``bump_fn``, a producer on the 1/n grid);
+* the support criterion, which decides on the full window, against the
+  all-spans definition it replaced: every indicator of a point outside the
+  set averages to zero over every window spanned by the canonical
+  breakpoints, each average recomputed by a midpoint scan. Inputs are raw,
+  with zero-length and mergeable pieces, over ``default_spaces()`` (the
+  table space included).
+"""
+
+from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import hmstep
+from hmstep.core import TestFn, Window
+from hmstep.hm import support, support_criterion_check
+from hmstep.laws import default_spaces
+from hmstep.stepfn import StepFn, canonicalize
+
+from conftest import oracle_functional
+
+PACKAGE = Path(hmstep.__file__).resolve().parent
+SPACES = default_spaces()
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def _stepfn_imports(tree: ast.Module) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("stepfn", "hmstep.stepfn")
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("module", ("hm", "tower"))
+def test_callers_do_not_touch_the_grid(module):
+    tree = _tree(module)
+    private = {name for name in _stepfn_imports(tree) if name.startswith("_")}
+    assert not private, f"{module} imports private stepfn names {sorted(private)}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "bisect" for alias in node.names), f"{module} imports bisect"
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "bisect", f"{module} imports from bisect"
+            names = {alias.name for alias in node.names}
+            assert not names & {"lcm", "gcd"}, f"{module} imports {sorted(names & {'lcm', 'gcd'})}"
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in ("ticks", "den", "lcm", "gcd"), f"{module} reads .{node.attr}"
+
+
+def test_laws_builds_on_the_grid_only_for_bumps():
+    private = {name for name in _stepfn_imports(_tree("laws")) if name.startswith("_")}
+    assert private == {"_canonical"}
+
+
+def test_pairing_is_reexported():
+    from hmstep import hm, stepfn
+
+    assert hmstep.pairing is hm.pairing is stepfn.pairing
+
+
+def all_spans_criterion(f: StepFn, b_set: frozenset, space) -> bool:
+    """The definition the full-window test replaced: zero average of every
+    outside indicator over every window spanned by the canonical breakpoints."""
+    windows = [Window(a, b) for a, b in combinations(canonicalize(f).breakpoints, 2)]
+    return all(
+        oracle_functional(TestFn.indicator(space, y), w, f) == 0
+        for y in space.labels
+        if y not in b_set
+        for w in windows
+    )
+
+
+fractions_to_12 = st.integers(1, 12).flatmap(lambda d: st.integers(0, d).map(lambda k: Fraction(k, d)))
+
+
+@st.composite
+def criterion_cases(draw):
+    """A space from the pool, a raw f over it and a nonempty candidate set.
+    Breakpoints have small denominators and some are repeated, so zero-length
+    pieces are likely; there are at most four labels, so mergeable neighbours
+    are too."""
+    space = draw(st.sampled_from(SPACES))
+    inner = draw(st.lists(fractions_to_12, max_size=6))
+    inner += draw(st.lists(st.sampled_from(inner), max_size=2)) if inner else []
+    bps = (Fraction(0), *sorted(inner), Fraction(1))
+    labels = st.sampled_from(space.labels)
+    values = draw(st.lists(labels, min_size=len(bps) - 1, max_size=len(bps) - 1))
+    b_set = frozenset(draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True)))
+    return space, StepFn(bps, values), b_set
+
+
+# a zero-length piece at 1/2 holding a value outside the set, between two mergeable pieces
+@example((SPACES[2], StepFn((0, Fraction(1, 2), Fraction(1, 2), 1), (1, 3, 1)), frozenset({1})))
+@example((SPACES[-1], StepFn((0, Fraction(1, 3), Fraction(1, 3), 1), (4, 2, 4)), frozenset({4})))
+@given(criterion_cases())
+def test_support_criterion_agrees_with_all_spans_and_support(case):
+    space, f, b_set = case
+    got = support_criterion_check(space, f, b_set)
+    assert got == all_spans_criterion(f, b_set, space) == (support(f) <= b_set)
