@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .laws import (
     CANDIDATES,
+    DEFAULT_PROBE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     BudgetError,
     LawReport,
@@ -186,6 +187,8 @@ def run(config: RunConfig) -> tuple[int, Report]:
         raise BudgetError(
             f"samples times grid ({config.samples} x {counted}) is over the budget of {DEFAULT_SAMPLE_BUDGET}"
         )
+    if config.command == "probe" and (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
+        raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
     if config.command in ("lemmas", "all"):
         suites.extend(_lemma_block(config.samples, config.seed, grid))
     if config.command == "laws":

@@ -35,10 +35,13 @@ from .stepfn import (
 )
 
 
-def _check_points(space: FiniteSpace, points: Iterable) -> None:
-    for v in set(points):
+def _check_points(space: FiniteSpace, points: Iterable) -> set:
+    """The distinct points, each checked against the space."""
+    distinct = set(points)
+    for v in distinct:
         if v not in space:
             raise ValueError(f"{v!r} is not a point of the given space")
+    return distinct
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class SpaceMap:
         object.__setattr__(self, "assignment", assignment)
         if len(assignment) != self.source.n:
             raise ValueError("need exactly one image per source point")
-        for y in assignment:
+        for y in set(assignment):
             if y not in self.target:
                 raise ValueError(f"image {y!r} is not a point of the target space")
 

@@ -77,6 +77,8 @@ DEFAULT_FIBER_BUDGET = 1_000_000
 # samples times grid for the sampled suites of lemmas, laws and all: 1000
 # samples at the default grid 12; each suite's cost is linear in its grid
 DEFAULT_SAMPLE_BUDGET = 12_000
+# n summed over the probe's rows, each linear in n: exactly probe 1..512
+DEFAULT_PROBE_BUDGET = 512 * 513 // 2
 
 
 class BudgetError(RuntimeError):

@@ -8,17 +8,17 @@ that agree almost everywhere share a canonical form (no zero-length pieces,
 adjacent values distinct), and canonical forms are what every equality in
 this toolkit compares. ``hm`` and ``tower`` validate, then call the kernels
 every level shares: ``pairing``, the flatten ``diagonal`` and, taking the
-level's part as a callable, ``map_values``, ``refinement_integral`` and
-``window_average``.
+level's part as a callable, ``map_values``, ``refinement_ratio`` and
+``window_ratio`` (``refinement_integral`` and ``window_average`` wrap them).
 
 The partition is stored on one integer grid: ``den`` is the least common
 denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
 compare and measure in ints. Only this module reads the grid; ``laws.bump_fn``
 alone builds on it, through ``_canonical``. ``Rat`` appears only at the
 edges: the ``breakpoints`` view, the public constructor and parser, window
-ends, the cells of :func:`common_refinement`, the weights a kernel's callable
-returns (summed as integer numerators over their running lcm) and each
-kernel's one result.
+ends, the cells of :func:`common_refinement`, a level-1 caller's weights, and
+one result per public call, not per kernel call: the pair kernels sum exact
+(num, den) int weights over their running lcm and return an unreduced pair.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor,
 :func:`from_segments` and :func:`parse_stepfn` coerce and check whatever they
@@ -208,13 +208,12 @@ def _cells(f: StepFn, g: StepFn) -> tuple[int, list[list]]:
     right)] cells in ticks over den = lcm(f.den, g.den), returned with den."""
     den = lcm(f.den, g.den)
     sf, sg = den // f.den, den // g.den
-    ft, gt = [t * sf for t in f.ticks], [t * sg for t in g.ticks]
-    fv, gv = f.values, g.values
+    ft, gt, fv, gv = f.ticks, g.ticks, f.values, g.values
     cells: list[list] = []
     i = j = cur = 0
     # trailing zero-length pieces at den add no cell
     while cur < den:
-        fe, ge = ft[i + 1], gt[j + 1]
+        fe, ge = ft[i + 1] * sf, gt[j + 1] * sg
         end = fe if fe <= ge else ge
         if end > cur:
             pair = (fv[i], gv[j])
@@ -249,26 +248,31 @@ def pairing(f: StepFn, g: StepFn) -> StepFn:
     return _trusted(den, (0, *(c[1] for c in cells)), tuple(c[2] for c in cells))
 
 
-def _weighted_sum(pieces: Iterable[tuple[int, object]], weight: Callable[[object], Rat], den: int) -> Rat:
-    """Sum of length * weight(value) / den over (int length, value) pieces:
-    one integer numerator over the running lcm of the weights' denominators,
-    and one ``Rat`` at the end."""
+def _weighted_sum(pieces: Iterable[tuple[int, object]], weight: Callable, den: int) -> tuple[int, int]:
+    """Sum of length * weight(value) / den over (int length, value) pieces, each
+    weight an exact (num, den) int pair: one integer numerator over the running
+    lcm of the weights' denominators, returned as an unreduced int pair."""
     num, q = 0, 1
     for length, v in pieces:
-        wn, wd = weight(v).as_integer_ratio()
+        wn, wd = weight(v)
         if q % wd:
             m = lcm(q, wd)
             num *= m // q
             q = m
         num += length * wn * (q // wd)
-    return Rat(num, q * den)
+    return num, q * den
+
+
+def refinement_ratio(f: StepFn, g: StepFn, dist: Callable[[tuple], tuple[int, int]]) -> tuple[int, int]:
+    """Integral of dist((f(t), g(t))) over [0, 1) as an unreduced (num, den) int
+    pair; dist maps each pair of unequal values to such a pair too."""
+    den, cells = _cells(f, g)
+    return _weighted_sum([(b - a, pair) for a, b, pair in cells if pair[0] != pair[1]], dist, den)
 
 
 def refinement_integral(f: StepFn, g: StepFn, dist: Callable[[object, object], Rat]) -> Rat:
     """Integral of dist(f(t), g(t)) over [0, 1); dist sees only unequal values."""
-    den, cells = _cells(f, g)
-    unequal = [(b - a, pair) for a, b, pair in cells if pair[0] != pair[1]]
-    return _weighted_sum(unequal, lambda pair: dist(*pair), den)
+    return Rat(*refinement_ratio(f, g, lambda pair: dist(*pair).as_integer_ratio()))
 
 
 def _meeting(ticks: tuple[int, ...], s: int, lo: int, hi: int) -> range:
@@ -277,10 +281,10 @@ def _meeting(ticks: tuple[int, ...], s: int, lo: int, hi: int) -> range:
     return range(bisect_right(ticks, lo // s) - 1, bisect_left(ticks, -(-hi // s)))
 
 
-def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -> Rat:
-    """Exact mean of weight(f(t)) over the window; weight sees only pieces
-    meeting it. The pieces are clipped in ticks over a den that puts the
-    window ends on the grid too."""
+def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window: Window) -> tuple[int, int]:
+    """Exact mean of weight(f(t)) over the window as an unreduced (num, den) int pair,
+    weight returning one too and seeing only the pieces meeting the window, clipped
+    in ticks over a den that puts the window ends on the grid too."""
     (an, ad), (bn, bd) = window.a.as_integer_ratio(), window.b.as_integer_ratio()
     den = lcm(f.den, ad, bd)
     s = den // f.den
@@ -292,6 +296,11 @@ def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -
         if length > 0:
             pieces.append((length, f.values[i]))
     return _weighted_sum(pieces, weight, hi - lo)
+
+
+def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -> Rat:
+    """Exact mean of weight(f(t)) over the window; weight sees only pieces meeting it."""
+    return Rat(*window_ratio(f, lambda v: weight(v).as_integer_ratio(), window))
 
 
 def diagonal(F: StepFn) -> StepFn:
@@ -310,10 +319,10 @@ def diagonal(F: StepFn) -> StepFn:
 
 
 def measure_preimage(f: StepFn, value_set: Iterable, window: Window = FULL_WINDOW) -> Rat:
-    """Exact total length of {t in window : f(t) in value_set}: the window's
-    length times the mean of the indicator of value_set."""
-    targets = frozenset(value_set)
-    return window.length * window_average(f, lambda v: ONE if v in targets else ZERO, window)
+    """Exact total length of {t in window : f(t) in value_set}: the mean over the
+    window of the window's length on value_set and 0 elsewhere."""
+    targets, length = frozenset(value_set), window.length.as_integer_ratio()
+    return Rat(*window_ratio(f, lambda v: length if v in targets else (0, 1), window))
 
 
 def as_rng(seed: int | random.Random) -> random.Random:

@@ -8,15 +8,16 @@ the level-2 integral metric, iterated window-average coordinates, and
 flatten candidates (multiplication proposals) with their level-3 lifts.
 Each operation checks its nesting (the metric and coordinates also every
 inner point, once, up front), then calls a ``stepfn`` kernel with a level-1
-operation as its callable (``hm_map``, or the bare level-1 kernel for the
-metric and coordinates); the diagonal flatten is ``stepfn.diagonal``.
+operation as its callable: ``hm_map``, or for the metric and coordinates the
+level-1 pair kernel, whose exact (num, den) int pairs the outer kernel sums
+before the call's one ``Rat``. The diagonal flatten is ``stepfn.diagonal``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .core import FiniteSpace, Rat, TestFn, Window, ZERO
@@ -31,20 +32,20 @@ from .stepfn import (
     evaluate,
     map_values,
     random_stepfn,
-    refinement_integral,
-    window_average,
+    refinement_ratio,
+    window_ratio,
 )
 
 StepFn2 = StepFn
 StepFn3 = StepFn
 
 
-def _check_nested(F: StepFn, space: FiniteSpace | None = None) -> None:
+def _check_nested(F: StepFn, space: FiniteSpace | None = None) -> set:
+    """Check that the values are step functions; given a space, return the checked inner points."""
     for v in F.values:
         if not isinstance(v, StepFn):
             raise ValueError("expected a nested step function (values must be step functions)")
-    if space is not None:
-        _check_points(space, (x for g in F.values for x in g.values))
+    return set() if space is None else _check_points(space, (x for g in F.values for x in g.values))
 
 
 def h_eta(f: StepFn) -> StepFn2:
@@ -81,7 +82,8 @@ def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
     """Integral over the outer variable of d_hm between inner functions."""
     _check_nested(F, space)
     _check_nested(G, space)
-    return refinement_integral(F, G, partial(refinement_integral, dist=space.distance))
+    dist = cache(lambda pair: space.distance(*pair).as_integer_ratio())
+    return Rat(*refinement_ratio(F, G, lambda pair: refinement_ratio(*pair, dist)))
 
 
 def iterated_functional_eval(
@@ -92,8 +94,8 @@ def iterated_functional_eval(
     This is the level-2 coordinate obtained by averaging the level-1
     coordinate (phi over ``inner``) of F(s) for s in ``outer``.
     """
-    _check_nested(F, phi.space)
-    return window_average(F, partial(window_average, weight=phi, window=inner), outer)
+    weights = {x: phi(x).as_integer_ratio() for x in _check_nested(F, phi.space)}
+    return Rat(*window_ratio(F, partial(window_ratio, weight=weights.__getitem__, window=inner), outer))
 
 
 @dataclass(frozen=True)

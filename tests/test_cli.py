@@ -14,7 +14,7 @@ import pytest
 
 import hmstep
 from hmstep.cli import Report, RunConfig, emit_report, main, parse_config, run
-from hmstep.laws import DEFAULT_SAMPLE_BUDGET
+from hmstep.laws import DEFAULT_PROBE_BUDGET, DEFAULT_SAMPLE_BUDGET
 from test_fiber_factored import TIMED_MAIN, _limit_memory
 
 SRC = str(Path(hmstep.__file__).resolve().parent.parent)
@@ -303,3 +303,38 @@ class TestSampleBudget:
 
     def test_fiber_ignores_the_sample_budget(self, capsys):
         assert main(["fiber", "--n-range", "1:1", "--grid", str(DEFAULT_SAMPLE_BUDGET), "--samples", "2"]) == 0
+
+
+class TestProbeBudget:
+    """n summed over the probe's rows is refused over ``DEFAULT_PROBE_BUDGET`` before any work."""
+
+    def test_unbounded_range_exits_three_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", TIMED_MAIN, "probe", "--n-range", "1:100000"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("hmstep:") and "budget" in lines[0]
+        assert float(proc.stdout) < 0.1
+
+    def test_budget_edge_is_admitted(self, capsys):
+        # 1 + 2 + ... + 512 is the budget exactly; one more row is over it
+        assert DEFAULT_PROBE_BUDGET == sum(range(1, 513))
+        with pytest.raises(hmstep.BudgetError):
+            run(parse_config(["probe", "--n-range", "1:513"]))
+        assert main(["probe", "--n-range", "1:512", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 513 and lines[-1] == "512,1/512,1/512,1"
+
+    def test_ranges_not_starting_at_one_are_counted(self):
+        # the cost is n summed over the rows asked for: one row past the budget, or 300..600
+        far = DEFAULT_PROBE_BUDGET + 1
+        with pytest.raises(hmstep.BudgetError):
+            run(parse_config(["probe", "--n-range", f"{far}:{far}"]))
+        with pytest.raises(hmstep.BudgetError):
+            run(parse_config(["probe", "--n-range", "300:600"]))
