@@ -19,6 +19,8 @@ edges: the ``breakpoints`` view, the public constructor and parser, window
 ends, the cells of :func:`common_refinement`, a level-1 caller's weights, and
 one result per public call, not per kernel call: the pair kernels sum exact
 (num, den) int weights over their running lcm and return an unreduced pair.
+They sum in one pass as they walk the ticks and build no cells; ``_cells``,
+whose cells are merged, serves only ``common_refinement`` and ``pairing``.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor,
 :func:`from_segments` and :func:`parse_stepfn` coerce and check whatever they
@@ -49,9 +51,10 @@ class StepFn:
     breakpoints from 0 to 1, one value per piece) and moves it onto the
     integer grid, but deliberately admits zero-length and mergeable pieces
     so that :func:`canonicalize` has something to do. Since ``den`` is the
-    least common denominator, equal partitions have equal fields, so ``==``
-    and ``hash`` mean "same breakpoints, same values". Results derived from
-    checked inputs are built by ``_trusted`` instead.
+    least common denominator, equal partitions have equal fields, so ``hash``
+    and ``==`` (identity, then ticks and values: ``den`` is ``ticks[-1]``) mean
+    "same breakpoints, same values". Results derived from checked inputs are
+    built by ``_trusted`` instead.
     """
 
     den: int
@@ -79,6 +82,13 @@ class StepFn:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not StepFn:
+            return NotImplemented
+        return self.ticks == other.ticks and self.values == other.values
 
     @property
     def breakpoints(self) -> tuple[Rat, ...]:
@@ -110,9 +120,8 @@ def _trusted(den: int, ticks: tuple[int, ...], values: tuple) -> StepFn:
         den //= g
         ticks = tuple(t // g for t in ticks)
     f = object.__new__(StepFn)
-    object.__setattr__(f, "den", den)
-    object.__setattr__(f, "ticks", ticks)
-    object.__setattr__(f, "values", values)
+    # one update beats three setattrs on the bump tower, at the cost of a dict per instance
+    f.__dict__.update(den=den, ticks=ticks, values=values)
     return f
 
 
@@ -126,14 +135,17 @@ def _merged(pieces: Iterable[tuple[int, object]]) -> tuple[list[int], list]:
     """
     ticks = [0]
     vals: list = []
+    last_end, last = 0, None
     for end, v in pieces:
-        if end == ticks[-1]:
+        if end == last_end:
             continue
-        if vals and vals[-1] == v:
+        last_end = end
+        if vals and last == v:
             ticks[-1] = end
         else:
             ticks.append(end)
             vals.append(v)
+            last = v
     return ticks, vals
 
 
@@ -248,31 +260,39 @@ def pairing(f: StepFn, g: StepFn) -> StepFn:
     return _trusted(den, (0, *(c[1] for c in cells)), tuple(c[2] for c in cells))
 
 
-def _weighted_sum(pieces: Iterable[tuple[int, object]], weight: Callable, den: int) -> tuple[int, int]:
-    """Sum of length * weight(value) / den over (int length, value) pieces, each
-    weight an exact (num, den) int pair: one integer numerator over the running
-    lcm of the weights' denominators, returned as an unreduced int pair."""
+def refinement_ratio(f: StepFn, g: StepFn, dist: Callable[[object, object], tuple[int, int]]) -> tuple[int, int]:
+    """Integral of dist(f(t), g(t)) over [0, 1) as an unreduced (num, den) int pair;
+    dist maps each two unequal values to such a pair too. One two-pointer walk
+    adds length * dist over the running lcm of dist's denominators."""
+    den = lcm(f.den, g.den)
+    sf, sg = den // f.den, den // g.den
+    ft, gt, fv, gv = f.ticks, g.ticks, f.values, g.values
     num, q = 0, 1
-    for length, v in pieces:
-        wn, wd = weight(v)
-        if q % wd:
-            m = lcm(q, wd)
-            num *= m // q
-            q = m
-        num += length * wn * (q // wd)
+    i = j = cur = 0
+    # trailing zero-length pieces at den add nothing
+    while cur < den:
+        fe, ge = ft[i + 1] * sf, gt[j + 1] * sg
+        end = fe if fe <= ge else ge
+        if end > cur:
+            a, b = fv[i], gv[j]
+            if a is not b and a != b:
+                wn, wd = dist(a, b)
+                if q % wd:
+                    m = lcm(q, wd)
+                    num *= m // q
+                    q = m
+                num += (end - cur) * wn * (q // wd)
+            cur = end
+        if fe == end:
+            i += 1
+        if ge == end:
+            j += 1
     return num, q * den
-
-
-def refinement_ratio(f: StepFn, g: StepFn, dist: Callable[[tuple], tuple[int, int]]) -> tuple[int, int]:
-    """Integral of dist((f(t), g(t))) over [0, 1) as an unreduced (num, den) int
-    pair; dist maps each pair of unequal values to such a pair too."""
-    den, cells = _cells(f, g)
-    return _weighted_sum([(b - a, pair) for a, b, pair in cells if pair[0] != pair[1]], dist, den)
 
 
 def refinement_integral(f: StepFn, g: StepFn, dist: Callable[[object, object], Rat]) -> Rat:
     """Integral of dist(f(t), g(t)) over [0, 1); dist sees only unequal values."""
-    return Rat(*refinement_ratio(f, g, lambda pair: dist(*pair).as_integer_ratio()))
+    return Rat(*refinement_ratio(f, g, lambda a, b: dist(a, b).as_integer_ratio()))
 
 
 def _meeting(ticks: tuple[int, ...], s: int, lo: int, hi: int) -> range:
@@ -283,19 +303,30 @@ def _meeting(ticks: tuple[int, ...], s: int, lo: int, hi: int) -> range:
 
 def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window: Window) -> tuple[int, int]:
     """Exact mean of weight(f(t)) over the window as an unreduced (num, den) int pair,
-    weight returning one too and seeing only the pieces meeting the window, clipped
-    in ticks over a den that puts the window ends on the grid too."""
+    weight returning one too and seeing only the pieces meeting the window. One loop
+    sums them, clipped in ticks over a den that also puts the window ends on the grid:
+    f's own den when the window is [0, 1)."""
     (an, ad), (bn, bd) = window.a.as_integer_ratio(), window.b.as_integer_ratio()
-    den = lcm(f.den, ad, bd)
-    s = den // f.den
-    lo, hi = an * (den // ad), bn * (den // bd)
-    ticks, pieces = f.ticks, []
-    for i in _meeting(ticks, s, lo, hi):
+    ticks, values = f.ticks, f.values
+    if an == 0 and bn == bd:
+        s, lo, hi, meeting = 1, 0, f.den, range(len(values))
+    else:
+        den = lcm(f.den, ad, bd)
+        s = den // f.den
+        lo, hi = an * (den // ad), bn * (den // bd)
+        meeting = _meeting(ticks, s, lo, hi)
+    num, q = 0, 1
+    for i in meeting:
         start, end = ticks[i] * s, ticks[i + 1] * s
         length = (end if end < hi else hi) - (start if start > lo else lo)
         if length > 0:
-            pieces.append((length, f.values[i]))
-    return _weighted_sum(pieces, weight, hi - lo)
+            wn, wd = weight(values[i])
+            if q % wd:
+                m = lcm(q, wd)
+                num *= m // q
+                q = m
+            num += length * wn * (q // wd)
+    return num, q * (hi - lo)
 
 
 def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -> Rat:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain
 from typing import Callable
 
 from .core import FiniteSpace, Rat, TestFn, Window, ZERO
@@ -45,7 +46,7 @@ def _check_nested(F: StepFn, space: FiniteSpace | None = None) -> set:
     for v in F.values:
         if not isinstance(v, StepFn):
             raise ValueError("expected a nested step function (values must be step functions)")
-    return set() if space is None else _check_points(space, (x for g in F.values for x in g.values))
+    return set() if space is None else _check_points(space, chain.from_iterable(g.values for g in F.values))
 
 
 def h_eta(f: StepFn) -> StepFn2:
@@ -82,8 +83,8 @@ def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
     """Integral over the outer variable of d_hm between inner functions."""
     _check_nested(F, space)
     _check_nested(G, space)
-    dist = cache(lambda pair: space.distance(*pair).as_integer_ratio())
-    return Rat(*refinement_ratio(F, G, lambda pair: refinement_ratio(*pair, dist)))
+    dist = cache(lambda a, b: space.distance(a, b).as_integer_ratio())
+    return Rat(*refinement_ratio(F, G, partial(refinement_ratio, dist=dist)))
 
 
 def iterated_functional_eval(

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hmstep.cli import emit_report, parse_config, run
 from hmstep.laws import (
+    DEFAULT_PROBE_BUDGET,
     check_associativity,
     check_coordinate_naturality,
     check_linearity,
@@ -203,4 +204,19 @@ def test_11_probe_frontier():
         time.perf_counter() - start,
         5.0,
         "n=1..400 image gap 1 at level-2 distance 1/n",
+    )
+
+
+def test_12_probe_budget_edge():
+    # 1..512 sums to exactly the probe budget: the largest range probe admits from 1
+    assert sum(range(1, 513)) == DEFAULT_PROBE_BUDGET
+    start = time.perf_counter()
+    rows = discontinuity_probe(DIAGONAL, 512)
+    ok = len(rows) == 512 and all(row.holds for row in rows)
+    _finish(
+        "probe-budget-edge",
+        ok,
+        time.perf_counter() - start,
+        5.0,
+        "n=1..512, the probe budget's edge: image gap 1 at level-2 distance 1/n",
     )
