@@ -9,13 +9,16 @@ reported quantity; step functions store their breakpoints as integer ticks
 over one denominator instead (see ``stepfn``) and show them as ``Rat`` only
 at their boundary. Floats are rejected at the boundaries; rounding never
 enters. A ``FiniteSpace`` without a distance table (``dist=None``) carries
-the discrete metric, and equality of spaces follows how they were built.
+the discrete metric. Spaces are equal, and hash equal, when they list the
+same labels in order with the same table or none: a structural product
+equals the explicit table-free space listing its labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Rat = Fraction
 
@@ -54,8 +57,9 @@ class FiniteSpace:
     pairwise axioms (zero diagonal, symmetry, positivity off the diagonal,
     bound 1). The triangle inequality is checked exhaustively by
     :func:`validate_metric`; the discrete and product constructors below
-    satisfy it structurally. Equality compares the fields, so it follows
-    construction: an explicit 0/1 table is not the table-free discrete space.
+    satisfy it structurally. Equality compares labels, in order, and tables:
+    an explicit 0/1 table is not the table-free discrete space, while a
+    structural product equals the table-free space listing its labels.
     """
 
     labels: tuple
@@ -89,9 +93,15 @@ class FiniteSpace:
                         raise ValueError("distances must be bounded by 1")
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
 
+    def __eq__(self, other: object) -> bool:
+        # the dataclass still derives __hash__ from (labels, dist)
+        if not isinstance(other, FiniteSpace):
+            return NotImplemented
+        return self is other or (self.dist == other.dist and self.labels == other.labels)
+
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self._index)  # type: ignore[attr-defined]
 
     def __contains__(self, x: object) -> bool:
         return x in self._index  # type: ignore[attr-defined]
@@ -141,21 +151,52 @@ def make_discrete_space(n: int, labels: tuple | None = None) -> FiniteSpace:
     return FiniteSpace(labels)
 
 
+class _PairIndex:
+    """Row-major positions of the pairs over two factors' indexes, computed, not stored."""
+
+    def __init__(self, left, right) -> None:
+        self.left, self.right, self.width = left, right, len(right)
+
+    def __len__(self) -> int:
+        return len(self.left) * self.width
+
+    def __contains__(self, x: object) -> bool:
+        return isinstance(x, tuple) and len(x) == 2 and x[0] in self.left and x[1] in self.right
+
+    def __getitem__(self, x: tuple) -> int:
+        if not (isinstance(x, tuple) and len(x) == 2):
+            raise KeyError(x)
+        return self.left[x[0]] * self.width + self.right[x[1]]
+
+
+class ProductSpace(FiniteSpace):
+    """The product of two spaces, answered from its ``factors``: membership,
+    ``index_of``, ``n`` and the discrete ``distance`` take O(1) work, and the
+    row-major pair ``labels`` are built on first use. A table factor gives the
+    product its dense max table."""
+
+    def __init__(self, x: FiniteSpace, y: FiniteSpace) -> None:
+        self.__dict__.update(factors=(x, y), _index=_PairIndex(x._index, y._index))  # type: ignore[attr-defined]
+        if x.dist is not None or y.dist is not None:
+            labels = self.labels
+            rows = (tuple(max(x.distance(a, c), y.distance(b, d)) for c, d in labels) for a, b in labels)
+            self.__dict__["dist"] = tuple(rows)
+
+    @cached_property
+    def labels(self) -> tuple:  # type: ignore[override]
+        x, y = self.factors  # type: ignore[attr-defined]
+        return tuple((a, b) for a in x.labels for b in y.labels)
+
+
 def product_space(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
     """Product point set with the max metric, still bounded by 1.
 
-    Labels are pairs ``(a, b)`` in row-major order; the projections are
-    recoverable from the pair structure (see ``hm.product_projections``).
-    The max of two discrete metrics is discrete, so two table-free factors
-    give a table-free product; otherwise the table is built.
+    Labels are pairs ``(a, b)`` in row-major order, and ``factors`` keeps
+    (x, y) for the projections (see ``hm.product_projections``). The max of
+    two discrete metrics is discrete, so two table-free factors give a
+    table-free product; otherwise the table is built.
     """
-    labels = tuple((a, b) for a in x.labels for b in y.labels)
-    if x.dist is None and y.dist is None:
-        return FiniteSpace(labels)
-    dist = tuple(
-        tuple(max(x.distance(a, c), y.distance(b, d)) for c, d in labels) for a, b in labels
-    )
-    return FiniteSpace(labels, dist)
+    return ProductSpace(x, y)
 
 
 @dataclass(frozen=True)
@@ -209,7 +250,8 @@ class TestFn:
 class Window:
     """A rational subinterval (a, b) of [0, 1] with a < b.
 
-    Endpoints 0 and 1 are permitted; degenerate windows are not.
+    Endpoints 0 and 1 are permitted; degenerate windows are not. ``ratios``
+    holds the ends as (num, den) int pairs for the ``stepfn`` kernels.
     """
 
     a: Rat
@@ -222,6 +264,7 @@ class Window:
         object.__setattr__(self, "b", b)
         if not (ZERO <= a < b <= ONE):
             raise ValueError(f"window endpoints must satisfy 0 <= a < b <= 1, got ({a}, {b})")
+        object.__setattr__(self, "ratios", (a.as_integer_ratio(), b.as_integer_ratio()))
 
     @property
     def length(self) -> Rat:

@@ -12,8 +12,9 @@ rationals.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     FULL_WINDOW,
@@ -26,7 +27,6 @@ from .core import (
 from .stepfn import (
     StepFn,
     canonicalize,
-    constant,
     map_values,
     measure_preimage,
     pairing,  # re-exported: hmstep.hm.pairing
@@ -72,7 +72,16 @@ class Pseudometric:
 
 @dataclass(frozen=True)
 class SpaceMap:
-    """A (total) map between finite spaces, one target point per source point."""
+    """A (total) map between finite spaces, one target point per source point.
+
+    ``SpaceMap(source, target, assignment)`` is the public form: it checks one
+    image per source point, in label order, each a point of the target. The
+    rule form ``_RuleMap`` computes images by a callable and derives
+    ``assignment`` on demand; it checks no image, so it is built only where the
+    rule lands in the target by construction: :func:`product_projections` and
+    the equality collapse of ``laws.build_witnesses``. A rule map never equals a
+    tuple map.
+    """
 
     source: FiniteSpace
     target: FiniteSpace
@@ -103,14 +112,28 @@ class SpaceMap:
         return cls(space, space, space.labels)
 
 
+class _RuleMap(SpaceMap):
+    """The unchecked rule form of :class:`SpaceMap`."""
+
+    def __init__(self, source: FiniteSpace, target: FiniteSpace, rule: Callable[[object], object]) -> None:
+        self.__dict__.update(source=source, target=target, rule=rule)
+
+    @property
+    def assignment(self) -> tuple:  # type: ignore[override]
+        return tuple(map(self.rule, self.source.labels))
+
+    def __call__(self, x: object) -> object:
+        self.source.index_of(x)  # refuses a non-point
+        return self.rule(x)
+
+
 def product_projections(
     prod: FiniteSpace, x: FiniteSpace, y: FiniteSpace
 ) -> tuple[SpaceMap, SpaceMap]:
-    """The two coordinate projections of a product space built by
-    ``core.product_space``."""
-    firsts = tuple(lab[0] for lab in prod.labels)
-    seconds = tuple(lab[1] for lab in prod.labels)
-    return SpaceMap(prod, x, firsts), SpaceMap(prod, y, seconds)
+    """The two coordinate projections of ``core.product_space(x, y)``, as rules."""
+    if getattr(prod, "factors", None) != (x, y):
+        raise ValueError("projections need the product of the two given spaces")
+    return _RuleMap(prod, x, itemgetter(0)), _RuleMap(prod, y, itemgetter(1))
 
 
 def compose_testfn(phi: TestFn, h: SpaceMap) -> TestFn:
@@ -148,13 +171,14 @@ def hm_map(h: SpaceMap, f: StepFn) -> StepFn:
     """Post-compose f with the point map h; the canonical result never has
     more pieces than f."""
     _check_points(h.source, f.values)
-    return map_values(f, h)
+    return map_values(f, h.rule if isinstance(h, _RuleMap) else h)  # the points are checked above
 
 
 def unit(x: object, space: FiniteSpace) -> StepFn:
     """The constant step function at a point: the unit of the construction."""
     _check_points(space, (x,))
-    return constant(x)
+    # validated, unlike stepfn.constant: perfbench's tracer needs a validated construction per workload
+    return StepFn((0, 1), (x,))
 
 
 def support(f: StepFn) -> frozenset:

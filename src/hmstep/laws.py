@@ -34,6 +34,7 @@ from .core import (
 from .hm import (
     Functional,
     SpaceMap,
+    _RuleMap,
     compose_testfn,
     d_hm,
     functional_eval,
@@ -221,19 +222,14 @@ def build_witnesses(n: int) -> Witnesses:
     pairs = product_space(base, base)
     two_point = make_discrete_space(2, labels=(0, 1))
     left_proj, right_proj = product_projections(pairs, base, base)
-    equality_collapse = SpaceMap(
-        pairs, two_point, tuple(1 if a == b else 0 for a, b in pairs.labels)
-    )
+    equality_collapse = _RuleMap(pairs, two_point, lambda p: 1 if p[0] == p[1] else 0)
     staircase = staircase_fn(n)
     diagonal_staircase = blocks((i, i) for i in range(1, n + 1))
     row_staircases = tuple(blocks((i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
     nested_rows = blocks(row_staircases)
     bumps = tuple(bump_fn(i, n) for i in range(1, n + 1))
     nested_bumps = blocks(bumps)
-    if (
-        hm_map(left_proj, diagonal_staircase) != staircase
-        or hm_map(right_proj, diagonal_staircase) != staircase
-    ):
+    if any(hm_map(proj, diagonal_staircase) != staircase for proj in (left_proj, right_proj)):
         raise RuntimeError("witness identity broken: projections of the diagonal staircase")
     if h2_map(equality_collapse, nested_rows) != nested_bumps:
         raise RuntimeError("witness identity broken: collapse of the nested rows")
@@ -613,47 +609,20 @@ def forced_value_chain(n: int, mu: MuCandidate, seed: int = 0) -> LawReport:
     failures: list[LawFailure] = list(precheck.failures[:3])
     steps: list[tuple[str, bool]] = [("unit-laws-on-base", precheck.verdict == "pass")]
 
-    def record(name: str, ok: bool, expected: str, actual: str) -> None:
+    def record(name: str, expected: StepFn, *actual: StepFn) -> None:
+        # the witness text is formatted only for a failing step
+        ok = all(a == expected for a in actual)
         steps.append((name, ok))
         if not ok:
-            failures.append(LawFailure(input=f"n={n} {name}", expected=expected, actual=actual))
+            text = " / ".join(map(format_stepfn, actual))
+            failures.append(LawFailure(f"n={n} {name}", format_stepfn(expected), text))
 
-    inner_nested = h_eta(w.staircase)
-    outer_nested = eta_h(w.staircase)
-    got_inner = mu(inner_nested)
-    got_outer = mu(outer_nested)
-    record(
-        "both-nestings-flatten-to-staircase",
-        got_inner == w.staircase and got_outer == w.staircase,
-        format_stepfn(w.staircase),
-        f"{format_stepfn(got_inner)} / {format_stepfn(got_outer)}",
-    )
-
+    record("both-nestings-flatten-to-staircase", w.staircase, mu(h_eta(w.staircase)), mu(eta_h(w.staircase)))
     flat_rows = mu(w.nested_rows)
-    left = hm_map(w.left_proj, flat_rows)
-    right = hm_map(w.right_proj, flat_rows)
-    record(
-        "projections-of-flattened-rows-equal-staircase",
-        left == w.staircase and right == w.staircase,
-        format_stepfn(w.staircase),
-        f"{format_stepfn(left)} / {format_stepfn(right)}",
-    )
-
-    record(
-        "flattened-rows-equal-diagonal-staircase",
-        flat_rows == w.diagonal_staircase,
-        format_stepfn(w.diagonal_staircase),
-        format_stepfn(flat_rows),
-    )
-
-    flat_bumps = mu(w.nested_bumps)
-    forced = unit(1, w.two_point)
-    record(
-        "flattened-bumps-equal-constant-one",
-        flat_bumps == forced,
-        format_stepfn(forced),
-        format_stepfn(flat_bumps),
-    )
+    left, right = hm_map(w.left_proj, flat_rows), hm_map(w.right_proj, flat_rows)
+    record("projections-of-flattened-rows-equal-staircase", w.staircase, left, right)
+    record("flattened-rows-equal-diagonal-staircase", w.diagonal_staircase, flat_rows)
+    record("flattened-bumps-equal-constant-one", unit(1, w.two_point), mu(w.nested_bumps))
     return LawReport(mu.name, "forced-value-chain", len(steps), tuple(failures), tuple(steps))
 
 

@@ -27,7 +27,7 @@ Validation happens once, at the public boundary: the ``StepFn`` constructor,
 are given. Internal producers (``blocks``, ``map_values``, ``canonicalize``,
 ``pairing``, ``diagonal``) derive their partitions from inputs already checked,
 so they run the one merge scan and build their canonical result once, with
-no second validation pass.
+no second validation pass; ``constant``'s one-piece partition is fixed.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def canonicalize(f: StepFn) -> StepFn:
 
 def constant(value: object) -> StepFn:
     """The one-piece step function with the given value on all of [0, 1)."""
-    return StepFn((ZERO, ONE), (value,))
+    return _trusted(1, (0, 1), (value,))
 
 
 def from_segments(segments: Iterable[tuple[Rat, Rat, object]]) -> StepFn:
@@ -306,7 +306,7 @@ def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window:
     weight returning one too and seeing only the pieces meeting the window. One loop
     sums them, clipped in ticks over a den that also puts the window ends on the grid:
     f's own den when the window is [0, 1)."""
-    (an, ad), (bn, bd) = window.a.as_integer_ratio(), window.b.as_integer_ratio()
+    (an, ad), (bn, bd) = window.ratios
     ticks, values = f.ticks, f.values
     if an == 0 and bn == bd:
         s, lo, hi, meeting = 1, 0, f.den, range(len(values))

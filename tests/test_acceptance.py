@@ -6,8 +6,14 @@ precision (tolerance zero) and enforces a wall-clock budget."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import hmstep
 
 from hmstep.cli import emit_report, parse_config, run
 from hmstep.laws import (
@@ -219,4 +225,35 @@ def test_12_probe_budget_edge():
         time.perf_counter() - start,
         5.0,
         "n=1..512, the probe budget's edge: image gap 1 at level-2 distance 1/n",
+    )
+
+
+CHAIN_MEMORY_CHILD = """
+import resource, sys
+from hmstep.laws import forced_value_chain
+from hmstep.tower import DIAGONAL
+report = forced_value_chain(1000, DIAGONAL)
+kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(report.verdict, sum(ok for _, ok in report.steps), kb)
+"""
+
+
+def test_13_chain_memory():
+    # a fresh interpreter, so the peak is the chain's own (Linux ru_maxrss is in KiB)
+    src = str(Path(hmstep.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CHAIN_MEMORY_CHILD], env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr.decode()
+    verdict, held, kb = proc.stdout.split()
+    peak_mb = int(kb) / 1024
+    ok = verdict == b"pass" and int(held) == 5 and peak_mb < 160
+    _finish(
+        "chain-memory",
+        ok,
+        elapsed,
+        10.0,
+        f"forced_value_chain(1000) holds all five steps at {peak_mb:.0f} MB max RSS (limit 160 MB)",
     )

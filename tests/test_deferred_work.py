@@ -1,0 +1,126 @@
+"""Work the forced chain and the coordinates leave undone, and what they still do.
+
+* ``forced_value_chain`` formats witness text only for a step that fails: a
+  passing chain never calls ``format_stepfn``, and each failing step of a
+  broken candidate carries exactly the text of the values it compared.
+* ``stepfn.constant`` builds its fixed one-piece partition without the
+  validating constructor; ``hm.unit`` still goes through it.
+* A ``Window`` derives its ends' int ratios once: the iterated coordinate
+  calls ``Fraction.as_integer_ratio`` once per inner point, for the weights,
+  however many outer pieces share the inner window.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from hmstep import laws
+from hmstep.core import FULL_WINDOW, TestFn, Window, make_discrete_space
+from hmstep.hm import hm_map, unit
+from hmstep.laws import build_witnesses, forced_value_chain, nested_bumps_fn
+from hmstep.stepfn import StepFn, constant, evaluate, format_stepfn
+from hmstep.tower import (
+    CONSTANT_LEFT,
+    DIAGONAL,
+    REMAP_LAST,
+    MuCandidate,
+    diagonal_flatten,
+    eta_h,
+    h_eta,
+    iterated_functional_eval,
+)
+
+
+def test_passing_chain_formats_no_witness_text(monkeypatch):
+    def refuse(f):
+        raise AssertionError("format_stepfn called for a passing chain")
+
+    monkeypatch.setattr(laws, "format_stepfn", refuse)
+    report = forced_value_chain(8, DIAGONAL)
+    assert report.verdict == "pass" and len(report.steps) == 5 and all(ok for _, ok in report.steps)
+
+
+def _compared(n: int, mu) -> dict:
+    """Each chain step's expected value and the values compared with it, recomputed."""
+    w = build_witnesses(n)
+    flat_rows = mu(w.nested_rows)
+    return {
+        "both-nestings-flatten-to-staircase": (w.staircase, (mu(h_eta(w.staircase)), mu(eta_h(w.staircase)))),
+        "projections-of-flattened-rows-equal-staircase": (
+            w.staircase,
+            (hm_map(w.left_proj, flat_rows), hm_map(w.right_proj, flat_rows)),
+        ),
+        "flattened-rows-equal-diagonal-staircase": (w.diagonal_staircase, (flat_rows,)),
+        "flattened-bumps-equal-constant-one": (unit(1, w.two_point), (mu(w.nested_bumps),)),
+    }
+
+
+# the diagonal, except that a one-piece F (the outer unit) goes to a constant: one nesting flattens, one fails
+OUTER_UNIT_BROKEN = MuCandidate(
+    "outer-unit-broken", lambda F: diagonal_flatten(F) if F.pieces > 1 else constant(evaluate(F.values[0], 0))
+)
+
+
+@pytest.mark.parametrize("mu", (CONSTANT_LEFT, REMAP_LAST, OUTER_UNIT_BROKEN))
+def test_failing_steps_carry_the_text_of_the_compared_values(mu):
+    n = 3
+    report = forced_value_chain(n, mu)
+    compared = _compared(n, mu)
+    assert [name for name, _ in report.steps[1:]] == list(compared)
+    for name, ok in report.steps[1:]:
+        expected, actual = compared[name]
+        assert ok == all(a == expected for a in actual)
+    if mu is OUTER_UNIT_BROKEN:  # one compared value holds, the other does not
+        assert [ok for _, ok in report.steps[1:]] == [False, True, True, True]
+    failing = [name for name, ok in report.steps[1:] if not ok]
+    step_failures = [f for f in report.failures if f.input.startswith(f"n={n} ")]
+    assert failing and [f.input for f in step_failures] == [f"n={n} {name}" for name in failing]
+    for failure, name in zip(step_failures, failing):
+        expected, actual = compared[name]
+        assert failure.expected == format_stepfn(expected)
+        assert failure.actual == " / ".join(format_stepfn(a) for a in actual)
+
+
+def test_constant_is_trusted_and_unit_is_validated(monkeypatch):
+    validated = []
+    check = StepFn.__post_init__
+
+    def counting(self, breakpoints, values):
+        validated.append(values)
+        check(self, breakpoints, values)
+
+    monkeypatch.setattr(StepFn, "__post_init__", counting)
+    k2 = make_discrete_space(2)
+    c = constant(2)
+    assert validated == []
+    u = unit(2, k2)
+    assert len(validated) == 1
+    assert c == u == StepFn((0, 1), (2,)) and c.breakpoints == (0, 1) and c.den == 1
+    assert constant(c).values == (c,)
+
+
+def test_iterated_coordinate_derives_window_ratios_once(monkeypatch):
+    two = make_discrete_space(2, labels=(0, 1))
+    ident = TestFn(two, (0, 1))
+    inner, outer = Window(Fraction(1, 7), Fraction(5, 6)), Window(Fraction(1, 97), 1)
+    towers = [nested_bumps_fn(n) for n in (5, 64)]
+    expected = [iterated_functional_eval(ident, inner, outer, F) for F in towers]
+    full = [iterated_functional_eval(ident, FULL_WINDOW, FULL_WINDOW, F) for F in towers]
+    calls = []
+    ratio = Fraction.as_integer_ratio
+
+    def counting(self):
+        calls.append(self)
+        return ratio(self)
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counting)
+    for F, want, want_full in zip(towers, expected, full):
+        calls.clear()
+        assert iterated_functional_eval(ident, inner, outer, F) == want
+        assert len(calls) == 2  # the two weights, not the windows
+        calls.clear()
+        assert iterated_functional_eval(ident, FULL_WINDOW, FULL_WINDOW, F) == want_full
+        assert len(calls) == 2
+    assert inner.ratios == ((1, 7), (5, 6)) and outer.ratios == ((1, 97), (1, 1))

@@ -1,7 +1,7 @@
 """Golden reports of the single commands that exercise refinement, the metric
 at both levels, the candidates and the fiber search, plus probe windows that
 start above 1 (up to n = 400), the chain on the witness spaces at n = 30..32
-and the lemma suites on a grid of 30.
+and at n = 100, and the lemma suites on a grid of 30.
 
 Each command runs in a fresh interpreter and its stdout is pinned by sha256,
 so a change in any step-function kernel, in the canonical forms it produces
@@ -32,6 +32,7 @@ GOLDEN_SHA256 = {
     "laws --n-range 30:32 --format json": "96dd86b384d021f79e96ffc9eff18133aef132b28d606bee044541902168f66f",
     "probe --n-range 380:400 --format csv": "2c978d8ef53b669a506bae35cc28682e31329fa30a1da865a8a6669b53d05d05",
     "lemmas --samples 200 --seed 4 --grid 30 --format json": "33baad1613258161ac128cf4b4e0af60d5462170f903184ee0e51b361990aa4f",
+    "laws --n-range 100:100 --format json": "c64ed2b99288cf963a0d6e0b71419221c18177b0b84f35bca4a5fdd3ad12004b",
 }
 
 
