@@ -32,7 +32,6 @@ from .hm import (
     d_hm,
     functional_eval,
     hm_map,
-    hm_n_membership,
     pairing,
     pseudometric_eval,
     product_projections,

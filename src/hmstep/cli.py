@@ -181,7 +181,7 @@ def run(config: RunConfig) -> tuple[int, Report]:
     lo, hi = config.n_range
     mu = CANDIDATES[config.candidate]
     grid = config.grid or 12
-    # laws reads no grid, so its suites run at the default 12 whatever --grid says
+    # laws reads no grid: its suites run at fixed grids 8, 4 and 4, and each sample is charged 12
     counted = grid if config.command in ("lemmas", "all") else 12
     if config.command in ("lemmas", "laws", "all") and config.samples * counted > DEFAULT_SAMPLE_BUDGET:
         raise BudgetError(
@@ -214,6 +214,12 @@ def run(config: RunConfig) -> tuple[int, Report]:
     return (0 if report.passed else 1), report
 
 
+def _probe_lines(probe: tuple[ProbeRow, ...], sep: str) -> list[str]:
+    """The field names of ``ProbeRow.to_dict``, then each row's values, joined by sep."""
+    rows = [row.to_dict() for row in probe]
+    return [sep.join(rows[0]), *(sep.join(map(str, row.values())) for row in rows)]
+
+
 def emit_report(report: Report, fmt: str) -> str:
     """Render the report deterministically in the requested format."""
     if not report.suites and not report.probe:
@@ -223,12 +229,7 @@ def emit_report(report: Report, fmt: str) -> str:
     if fmt == "csv":
         if not report.probe:
             raise ValueError("csv output is defined only for probe rows")
-        lines = ["n,coordinate_distance,metric_distance,image_gap"]
-        lines.extend(
-            f"{row.n},{row.coordinate_distance},{row.metric_distance},{row.image_gap}"
-            for row in report.probe
-        )
-        return "\n".join(lines) + "\n"
+        return "\n".join(_probe_lines(report.probe, ",")) + "\n"
     if fmt == "text":
         lines = [f"hmstep {report.tool_version}"]
         cfg = report.config
@@ -248,11 +249,9 @@ def emit_report(report: Report, fmt: str) -> str:
                 lines.append(f"    expected={failure.expected}")
                 lines.append(f"    actual={failure.actual}")
         if report.probe:
-            lines.append("probe: n coordinate_distance metric_distance image_gap")
-            lines.extend(
-                f"  {row.n} {row.coordinate_distance} {row.metric_distance} {row.image_gap}"
-                for row in report.probe
-            )
+            header, *rows = _probe_lines(report.probe, " ")
+            lines.append(f"probe: {header}")
+            lines.extend(f"  {row}" for row in rows)
         lines.append(f"overall: {'pass' if report.passed else 'fail'}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -104,7 +104,10 @@ class FiniteSpace:
         return len(self._index)  # type: ignore[attr-defined]
 
     def __contains__(self, x: object) -> bool:
-        return x in self._index  # type: ignore[attr-defined]
+        try:
+            return x in self._index  # type: ignore[attr-defined]
+        except TypeError:  # unhashable, in a product's parts too: no point of any space
+            return False
 
     def index_of(self, x: object) -> int:
         try:
@@ -229,12 +232,6 @@ class TestFn:
         if other.space != self.space:
             raise ValueError("cannot add test functions on different spaces")
         return TestFn(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: TestFn) -> TestFn:
-        return self + other.scaled(-1)
-
-    def bounds(self) -> tuple[Rat, Rat]:
-        return (min(self.values), max(self.values))
 
     @classmethod
     def constant(cls, space: FiniteSpace, c: int | str | Rat) -> TestFn:

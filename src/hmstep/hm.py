@@ -186,11 +186,6 @@ def support(f: StepFn) -> frozenset:
     return frozenset(canonicalize(f).values)
 
 
-def hm_n_membership(f: StepFn) -> int:
-    """Least n such that f is an at-most-n-piece step function."""
-    return canonicalize(f).pieces
-
-
 def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
     """Coordinate test for support containment: true iff every indicator of a
     point outside ``b_set`` averages to zero over the full window. An

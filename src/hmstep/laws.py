@@ -75,9 +75,11 @@ CANDIDATES: dict[str, MuCandidate] = {
 }
 
 DEFAULT_FIBER_BUDGET = 1_000_000
-# samples times grid for the sampled suites of lemmas, laws and all: 1000
-# samples at the default grid 12; each suite's cost is linear in its grid
+# samples times grid for lemmas and all, whose sampled suites cost linear in --grid:
+# 1000 samples at the default grid 12. The monad-law suites run at the fixed grids
+# below, and laws is charged 12 per sample as well
 DEFAULT_SAMPLE_BUDGET = 12_000
+_UNIT_GRID, _ASSOCIATIVITY_GRID, _NATURALITY_GRID = 8, 4, 4
 # n summed over the probe's rows, each linear in n: exactly probe 1..512
 DEFAULT_PROBE_BUDGET = 512 * 513 // 2
 
@@ -268,15 +270,10 @@ def _random_window(rng: random.Random, max_den: int = 12) -> Window:
     return Window(Rat(i, den), Rat(j, den))
 
 
-def _random_rat(rng: random.Random, span: int = 3, max_den: int = 12) -> Rat:
-    den = rng.randint(1, max_den)
-    return Rat(rng.randint(-span * den, span * den), den)
-
-
-def _random_testfn(rng: random.Random, space: FiniteSpace, lo: int = -3, hi: int = 3) -> TestFn:
+def _random_rats(rng: random.Random, k: int, lo: int = -3) -> tuple[Rat, ...]:
+    """k rationals in [lo, 3] over one random denominator of at most 12."""
     den = rng.randint(1, 12)
-    vals = tuple(Rat(rng.randint(lo * den, hi * den), den) for _ in range(space.n))
-    return TestFn(space, vals)
+    return tuple(Rat(rng.randint(lo * den, 3 * den), den) for _ in range(k))
 
 
 def _space_tag(space: FiniteSpace) -> str:
@@ -320,10 +317,10 @@ def check_linearity(spaces: list[FiniteSpace], samples: int, seed: int, grid: in
     def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
-        phi1 = _random_testfn(rng, space)
-        phi2 = _random_testfn(rng, space)
-        lam1 = _random_rat(rng)
-        lam2 = _random_rat(rng)
+        phi1 = TestFn(space, _random_rats(rng, space.n))
+        phi2 = TestFn(space, _random_rats(rng, space.n))
+        lam1 = _random_rats(rng, 1)[0]
+        lam2 = _random_rats(rng, 1)[0]
         w = _random_window(rng, grid)
         combo = phi1.scaled(lam1) + phi2.scaled(lam2)
         left = functional_eval(Functional(combo, w), f)
@@ -346,8 +343,8 @@ def check_monotonicity(spaces: list[FiniteSpace], samples: int, seed: int, grid:
     def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
-        phi1 = _random_testfn(rng, space)
-        delta = _random_testfn(rng, space, lo=0, hi=3)
+        phi1 = TestFn(space, _random_rats(rng, space.n))
+        delta = TestFn(space, _random_rats(rng, space.n, lo=0))
         phi2 = phi1 + delta
         w = _random_window(rng, grid)
         low = functional_eval(Functional(phi1, w), f)
@@ -369,7 +366,7 @@ def check_coordinate_naturality(samples: int, seed: int, grid: int = 12) -> LawR
         src = make_discrete_space(rng.randint(1, 5))
         dst = make_discrete_space(rng.randint(1, 5))
         h = SpaceMap(src, dst, tuple(rng.choice(dst.labels) for _ in src.labels))
-        phi = _random_testfn(rng, dst)
+        phi = TestFn(dst, _random_rats(rng, dst.n))
         w = _random_window(rng, grid)
         f = random_stepfn(src, rng.randint(1, grid), rng)
         left = functional_eval(Functional(phi, w), hm_map(h, f))
@@ -390,7 +387,7 @@ def check_unit_coordinate(spaces: list[FiniteSpace], samples: int, seed: int) ->
     def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
         x = rng.choice(space.labels)
-        phi = _random_testfn(rng, space)
+        phi = TestFn(space, _random_rats(rng, space.n))
         w = _random_window(rng)
         got = functional_eval(Functional(phi, w), unit(x, space))
         if got != phi(x):
@@ -505,13 +502,11 @@ def check_metric_axioms_level2(spaces: list[FiniteSpace], samples: int, seed: in
 # monad-law suites
 
 
-def check_unit_laws(
-    mu: MuCandidate, spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 8
-) -> LawReport:
+def check_unit_laws(mu: MuCandidate, spaces: list[FiniteSpace], samples: int, seed: int) -> LawReport:
     """Flattening either nesting of the unit must return the function."""
     def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
-        f = random_stepfn(space, rng.randint(1, grid), rng)
+        f = random_stepfn(space, rng.randint(1, _UNIT_GRID), rng)
         for side, flat in (("inside", mu(h_eta(f))), ("outside", mu(eta_h(f)))):
             if flat != f:
                 yield LawFailure(
@@ -523,13 +518,12 @@ def check_unit_laws(
     return _run_suite("unit-laws", samples, seed, trial, mu.name)
 
 
-def check_associativity(
-    mu: MuCandidate, spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 4
-) -> LawReport:
+def check_associativity(mu: MuCandidate, spaces: list[FiniteSpace], samples: int, seed: int) -> LawReport:
     """Flattening the outer two levels first or the inner two levels first
     must agree on random level-3 functions."""
     def trial(rng: random.Random) -> Iterator[LawFailure]:
         space = rng.choice(spaces)
+        grid = _ASSOCIATIVITY_GRID
         F3 = random_stepfn3(space, rng.randint(1, grid), grid, grid, rng)
         outer_first = mu(mu(F3))
         inner_first = mu(mu.lift(F3))
@@ -543,13 +537,13 @@ def check_associativity(
     return _run_suite("associativity", samples, seed, trial, mu.name)
 
 
-def check_naturality(mu: MuCandidate, map_samples: int, seed: int, grid: int = 4) -> LawReport:
+def check_naturality(mu: MuCandidate, map_samples: int, seed: int) -> LawReport:
     """Flattening must commute with the functor action of any point map."""
     def trial(rng: random.Random) -> Iterator[LawFailure]:
         src = make_discrete_space(rng.randint(1, 4))
         dst = make_discrete_space(rng.randint(1, 4))
         h = SpaceMap(src, dst, tuple(rng.choice(dst.labels) for _ in src.labels))
-        F = random_stepfn2(src, grid, grid, rng)
+        F = random_stepfn2(src, _NATURALITY_GRID, _NATURALITY_GRID, rng)
         left = mu(h2_map(h, F))
         right = hm_map(h, mu(F))
         if left != right:

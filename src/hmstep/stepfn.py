@@ -19,8 +19,8 @@ edges: the ``breakpoints`` view, the public constructor and parser, window
 ends, the cells of :func:`common_refinement`, a level-1 caller's weights, and
 one result per public call, not per kernel call: the pair kernels sum exact
 (num, den) int weights over their running lcm and return an unreduced pair.
-They sum in one pass as they walk the ticks and build no cells; ``_cells``,
-whose cells are merged, serves only ``common_refinement`` and ``pairing``.
+They sum in one pass as they walk the ticks and build no cells; the one other
+pair walk builds ``pairing``, whose pieces are ``common_refinement``'s cells.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor,
 :func:`from_segments` and :func:`parse_stepfn` coerce and check whatever they
@@ -215,49 +215,35 @@ class RefinementCell(NamedTuple):
     right: object
 
 
-def _cells(f: StepFn, g: StepFn) -> tuple[int, list[list]]:
-    """The refinement behind :func:`common_refinement`: [start, end, (left,
-    right)] cells in ticks over den = lcm(f.den, g.den), returned with den."""
+def pairing(f: StepFn, g: StepFn) -> StepFn:
+    """t ↦ (f(t), g(t)), canonical: the only step function whose projections are f
+    and g, as projection is pointwise. A two-pointer walk over lcm(f.den, g.den)
+    hands (end tick, (f value, g value)) pieces to the merge scan."""
     den = lcm(f.den, g.den)
     sf, sg = den // f.den, den // g.den
     ft, gt, fv, gv = f.ticks, g.ticks, f.values, g.values
-    cells: list[list] = []
-    i = j = cur = 0
-    # trailing zero-length pieces at den add no cell
-    while cur < den:
+    pieces = []
+    i = j = end = 0
+    # trailing zero-length pieces at den are never reached
+    while end < den:
         fe, ge = ft[i + 1] * sf, gt[j + 1] * sg
         end = fe if fe <= ge else ge
-        if end > cur:
-            pair = (fv[i], gv[j])
-            if cells and cells[-1][2] == pair:
-                cells[-1][1] = end
-            else:
-                cells.append([cur, end, pair])
-            cur = end
+        pieces.append((end, (fv[i], gv[j])))
         if fe == end:
             i += 1
         if ge == end:
             j += 1
-    return den, cells
+    return _canonical(den, pieces)
 
 
 def common_refinement(f: StepFn, g: StepFn) -> list[RefinementCell]:
     """Partition [0, 1) so both functions are constant on every cell.
 
-    Cells carry (start, end, value of f, value of g); zero-length cells never
-    appear, and the cell count is at most pieces(f) + pieces(g) - 1. Raw
-    inputs give the cells of their canonical forms: zero-length pieces are
-    skipped, and a cell repeating its left neighbour's pair extends it.
+    Cells carry (start, end, value of f, value of g), at most pieces(f) +
+    pieces(g) - 1 of them. They are the pieces of :func:`pairing`, so raw
+    inputs give the cells of their canonical forms, with no zero-length cell.
     """
-    den, cells = _cells(f, g)
-    return [RefinementCell(Rat(a, den), Rat(b, den), *pair) for a, b, pair in cells]
-
-
-def pairing(f: StepFn, g: StepFn) -> StepFn:
-    """t ↦ (f(t), g(t)), canonical (the refinement's cells are already merged): the
-    only step function whose projections are f and g, as projection is pointwise."""
-    den, cells = _cells(f, g)
-    return _trusted(den, (0, *(c[1] for c in cells)), tuple(c[2] for c in cells))
+    return [RefinementCell(a, b, *pair) for a, b, pair in pairing(f, g).segments()]
 
 
 def refinement_ratio(f: StepFn, g: StepFn, dist: Callable[[object, object], tuple[int, int]]) -> tuple[int, int]:

@@ -6,7 +6,9 @@ Checked here:
   ``tower`` import no ``_``-prefixed name from ``stepfn``, neither ``lcm``
   nor ``gcd``, nothing from ``bisect``, and read no ``ticks`` or ``den``
   attribute; the one private ``stepfn`` import in ``laws`` is ``_canonical``
-  (for ``bump_fn``, a producer on the 1/n grid);
+  (for ``bump_fn``, a producer on the 1/n grid); inside ``stepfn`` only
+  ``_canonical``, ``canonicalize`` and ``constant`` call ``_trusted``, so
+  every other producer builds through the one merge scan;
 * the support criterion, which decides on the full window, against the
   all-spans definition it replaced: every indicator of a point outside the
   set averages to zero over every window spanned by the canonical
@@ -70,6 +72,18 @@ def test_callers_do_not_touch_the_grid(module):
 def test_laws_builds_on_the_grid_only_for_bumps():
     private = {name for name in _stepfn_imports(_tree("laws")) if name.startswith("_")}
     assert private == {"_canonical"}
+
+
+def _calls(node: ast.AST, name: str) -> int:
+    return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name for n in ast.walk(node))
+
+
+def test_stepfn_builds_trusted_only_through_the_merge_scan_and_constant():
+    tree = _tree("stepfn")
+    callers = {fn.name: _calls(fn, "_trusted") for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    callers = {name: count for name, count in callers.items() if count}
+    assert set(callers) == {"_canonical", "canonicalize", "constant"}
+    assert sum(callers.values()) == _calls(tree, "_trusted"), "_trusted is called outside any function"
 
 
 def test_pairing_is_reexported():

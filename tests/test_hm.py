@@ -22,7 +22,6 @@ from hmstep.hm import (
     d_hm,
     functional_eval,
     hm_map,
-    hm_n_membership,
     product_projections,
     pseudometric_eval,
     support,
@@ -316,19 +315,6 @@ class TestSupport:
             f = random_stepfn(K3, rng.randint(1, 10), rng)
             x = rng.choice(K3.labels)
             assert support_membership_check(K3, f, x) == (x in support(f))
-
-
-class TestHmNMembership:
-    def test_unit_is_level_one(self):
-        assert hm_n_membership(unit(1, K3)) == 1
-
-    def test_staircase_needs_n_pieces(self):
-        for n in (1, 2, 3, 5):
-            assert hm_n_membership(staircase(n)) == n
-
-    def test_counts_canonical_pieces(self):
-        f = StepFn((0, Fraction(1, 3), Fraction(2, 3), 1), (1, 1, 2))
-        assert hm_n_membership(f) == 2
 
 
 class TestSpaceMap:

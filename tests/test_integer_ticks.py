@@ -12,6 +12,8 @@ view built from them. Checked here:
   fields the constructor gives its own breakpoints and values (so a common
   factor left by a merge is divided out), and takes the right value at the
   midpoint of every gap, read by a linear scan over the ``Fraction`` view;
+  ``pairing``'s walk hands the merge scan one piece per breakpoint of its
+  canonical inputs, so a shared breakpoint advances both pointers at once;
 * the kernels: window averages, preimage measures and refinement integrals
   with window ends off the step function's grid (such as (1/7, 3/11)), and a
   table metric, against midpoint oracles in ``Fraction`` arithmetic.
@@ -21,11 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hmstep import stepfn
 from hmstep.core import TestFn, Window, make_discrete_space
 from hmstep.hm import pairing
 from hmstep.laws import bump_fn, fixed_rational_space
@@ -180,6 +184,20 @@ def test_pairing(f, g):
     for a, b in zip(bps, bps[1:]):
         t = (a + b) / 2
         assert value_at(p, t) == (value_at(f, t), value_at(g, t))
+
+
+# a breakpoint shared inside (0, 1), where a tie must advance both pointers
+@example(StepFn((0, Fraction(1, 3), 1), (1, 2)), StepFn((0, Fraction(1, 3), Fraction(2, 3), 1), "xyx"))
+@given(raw_stepfns(), raw_stepfns(values=st.sampled_from("xy")))
+def test_pairing_walk_ends_once_at_each_breakpoint(f, g):
+    """On canonical inputs the walk hands the merge scan one piece per
+    breakpoint of f or g, in order, the last at 1."""
+    f, g = canonicalize(f), canonicalize(g)
+    handed = []
+    with mock.patch.object(stepfn, "_canonical", lambda den, pieces: handed.append((den, list(pieces)))):
+        pairing(f, g)
+    ((den, pieces),) = handed
+    assert [Fraction(end, den) for end, _ in pieces] == sorted(set(f.breakpoints[1:]) | set(g.breakpoints[1:]))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 60))

@@ -128,6 +128,17 @@ def test_index_of_refuses_non_points_unhashables_included():
             p.index_of(bad)
 
 
+def test_membership_answers_false_for_unhashables():
+    k2 = make_discrete_space(2)
+    p = product_space(k2, k2)
+    nested = product_space(p, k2)
+    for space, bad in ((k2, [1, 2]), (p, ([1], 2)), (p, (1, [2])), (nested, (([1], 2), 1)), (nested, ((1, {2}), 1))):
+        assert bad not in space
+        with pytest.raises(ValueError):
+            space.index_of(bad)
+    assert ((1, 2), 1) in nested
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_table_factor_keeps_the_dense_max_table(rng):

@@ -83,7 +83,7 @@ def test_mixed_product_is_max_of_factor_distances(seed):
         validate_metric(p)
 
 
-def test_equality_follows_construction():
+def test_equality_compares_labels_and_table_whatever_built_the_space():
     k3 = make_discrete_space(3)
     assert k3 == make_discrete_space(3)
     assert k3 == FiniteSpace((1, 2, 3))
