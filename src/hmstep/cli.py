@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .laws import (
@@ -44,8 +44,7 @@ COMMANDS = ("lemmas", "laws", "fiber", "probe", "all")
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str = "all"
     n_range: tuple[int, int] = (1, 16)
     grid: int | None = None
@@ -58,12 +57,11 @@ class RunConfig:
     def echo(self) -> dict:
         # out path deliberately not echoed: identical config+seed must give
         # byte-identical reports regardless of where they are written
-        config = {key: value for key, value in asdict(self).items() if key != "out"}
+        config = {key: value for key, value in self._asdict().items() if key != "out"}
         return {**config, "n_range": list(self.n_range)}
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     tool_version: str
     config: dict
     suites: tuple[LawReport, ...]

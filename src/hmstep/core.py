@@ -16,7 +16,7 @@ equals the explicit table-free space listing its labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 
@@ -47,8 +47,41 @@ def as_rat(value: int | str | Rat) -> Rat:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class Frozen:
+    """An immutable value: assignment and deletion raise ``AttributeError``, and
+    ``==`` (same class only), ``hash`` and ``repr`` read the attributes named by
+    ``_fields``. A validating constructor writes its fields once, through ``_set``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields: object) -> None:
+        if self.__dict__:
+            raise AttributeError(f"cannot rebuild a built {self.__class__.__name__}")
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FiniteSpace(Frozen):
     """A finite point set with an exact metric bounded by 1.
 
     ``labels`` are hashable point names (ints for discrete spaces, pairs for
@@ -62,16 +95,17 @@ class FiniteSpace:
     structural product equals the table-free space listing its labels.
     """
 
+    _fields = ("labels", "dist")
     labels: tuple
     dist: tuple[tuple[Rat, ...], ...] | None = None
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        dist = self.dist
+    def __init__(self, labels: Iterable, dist: Iterable[Iterable[int | str | Rat]] | None = None) -> None:
+        self.__post_init__(labels, dist)
+
+    def __post_init__(self, labels: Iterable, dist: Iterable[Iterable[int | str | Rat]] | None) -> None:
+        labels = tuple(labels)
         if dist is not None:
             dist = tuple(tuple(as_rat(x) for x in row) for row in dist)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dist", dist)
         n = len(labels)
         if n == 0:
             raise ValueError("a finite space needs at least one point")
@@ -91,13 +125,14 @@ class FiniteSpace:
                         raise ValueError("distinct points must be at positive distance")
                     if d > ONE:
                         raise ValueError("distances must be bounded by 1")
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        self._set(labels=labels, dist=dist, _index={lab: i for i, lab in enumerate(labels)})
 
     def __eq__(self, other: object) -> bool:
-        # the dataclass still derives __hash__ from (labels, dist)
         if not isinstance(other, FiniteSpace):
             return NotImplemented
         return self is other or (self.dist == other.dist and self.labels == other.labels)
+
+    __hash__ = Frozen.__hash__  # (labels, dist), which defining __eq__ would clear
 
     @property
     def n(self) -> int:
@@ -202,8 +237,7 @@ def product_space(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
     return ProductSpace(x, y)
 
 
-@dataclass(frozen=True)
-class TestFn:
+class TestFn(Frozen):
     """A rational-valued function on a finite space, one value per point.
 
     On a finite space every such function is continuous, so these are the
@@ -212,14 +246,15 @@ class TestFn:
 
     __test__ = False  # not a test case, despite the name
 
+    _fields = ("space", "values")
     space: FiniteSpace
     values: tuple[Rat, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(as_rat(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.space.n:
+    def __init__(self, space: FiniteSpace, values: Iterable[int | str | Rat]) -> None:
+        values = tuple(as_rat(v) for v in values)
+        if len(values) != space.n:
             raise ValueError("need exactly one value per point of the space")
+        self._set(space=space, values=values)
 
     def __call__(self, x: object) -> Rat:
         return self.values[self.space.index_of(x)]
@@ -243,25 +278,22 @@ class TestFn:
         return cls(space, tuple(ONE if j == i else ZERO for j in range(space.n)))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Frozen):
     """A rational subinterval (a, b) of [0, 1] with a < b.
 
     Endpoints 0 and 1 are permitted; degenerate windows are not. ``ratios``
     holds the ends as (num, den) int pairs for the ``stepfn`` kernels.
     """
 
+    _fields = ("a", "b")
     a: Rat
     b: Rat
 
-    def __post_init__(self) -> None:
-        a = as_rat(self.a)
-        b = as_rat(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a: int | str | Rat, b: int | str | Rat) -> None:
+        a, b = as_rat(a), as_rat(b)
         if not (ZERO <= a < b <= ONE):
             raise ValueError(f"window endpoints must satisfy 0 <= a < b <= 1, got ({a}, {b})")
-        object.__setattr__(self, "ratios", (a.as_integer_ratio(), b.as_integer_ratio()))
+        self._set(a=a, b=b, ratios=(a.as_integer_ratio(), b.as_integer_ratio()))
 
     @property
     def length(self) -> Rat:

@@ -13,13 +13,14 @@ rationals.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import (
     FULL_WINDOW,
     ZERO,
     FiniteSpace,
+    Frozen,
     Rat,
     TestFn,
     Window,
@@ -44,8 +45,7 @@ def _check_points(space: FiniteSpace, points: Iterable) -> set:
     return distinct
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """A window-average coordinate: a test function plus the window it is
     averaged over. Applied to a step function f it yields the mean of
     phi(f(t)) for t in the window."""
@@ -54,24 +54,23 @@ class Functional:
     window: Window
 
 
-@dataclass(frozen=True)
-class Pseudometric:
+class Pseudometric(Frozen):
     """Finitely many coordinates combined with max of absolute gaps."""
 
+    _fields = ("functionals",)
     functionals: tuple[Functional, ...]
 
-    def __post_init__(self) -> None:
-        fs = tuple(self.functionals)
-        object.__setattr__(self, "functionals", fs)
+    def __init__(self, functionals: Iterable[Functional]) -> None:
+        fs = tuple(functionals)
         if not fs:
             raise ValueError("a pseudometric needs at least one coordinate")
         space = fs[0].phi.space
         if any(fnl.phi.space != space for fnl in fs):
             raise ValueError("all coordinates must share one base space")
+        self._set(functionals=fs)
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(Frozen):
     """A (total) map between finite spaces, one target point per source point.
 
     ``SpaceMap(source, target, assignment)`` is the public form: it checks one
@@ -83,18 +82,19 @@ class SpaceMap:
     tuple map.
     """
 
+    _fields = ("source", "target", "assignment")
     source: FiniteSpace
     target: FiniteSpace
     assignment: tuple
 
-    def __post_init__(self) -> None:
-        assignment = tuple(self.assignment)
-        object.__setattr__(self, "assignment", assignment)
-        if len(assignment) != self.source.n:
+    def __init__(self, source: FiniteSpace, target: FiniteSpace, assignment: Iterable) -> None:
+        assignment = tuple(assignment)
+        if len(assignment) != source.n:
             raise ValueError("need exactly one image per source point")
         for y in set(assignment):
-            if y not in self.target:
+            if y not in target:
                 raise ValueError(f"image {y!r} is not a point of the target space")
+        self._set(source=source, target=target, assignment=assignment)
 
     def __call__(self, x: object) -> object:
         return self.assignment[self.source.index_of(x)]
@@ -116,7 +116,7 @@ class _RuleMap(SpaceMap):
     """The unchecked rule form of :class:`SpaceMap`."""
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, rule: Callable[[object], object]) -> None:
-        self.__dict__.update(source=source, target=target, rule=rule)
+        self._set(source=source, target=target, rule=rule)
 
     @property
     def assignment(self) -> tuple:  # type: ignore[override]

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .core import (
     FULL_WINDOW,
@@ -92,8 +92,7 @@ class FiberBudgetError(BudgetError):
     """Raised when a fiber decision would build more than its budget allows."""
 
 
-@dataclass(frozen=True)
-class LawFailure:
+class LawFailure(NamedTuple):
     input: str
     expected: str
     actual: str
@@ -102,8 +101,7 @@ class LawFailure:
         return {"input": self.input, "expected": self.expected, "actual": self.actual}
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     """Outcome of one check suite: sample count, failures with witnesses,
     and, for stepwise checks, which steps held."""
 
@@ -130,8 +128,7 @@ class LawReport:
         return out
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     n: int
     coordinate_distance: Rat
     metric_distance: Rat
@@ -151,8 +148,7 @@ class ProbeRow:
         }
 
 
-@dataclass(frozen=True)
-class FiberResult:
+class FiberResult(NamedTuple):
     n: int
     grid: int
     witnesses: tuple[StepFn, ...]
@@ -170,8 +166,7 @@ class FiberResult:
         return LawReport(None, "fiber-uniqueness", self.checked, failures, (("unique", self.unique),))
 
 
-@dataclass(frozen=True)
-class Witnesses:
+class Witnesses(NamedTuple):
     """The staircase family over the n-point base and its two-point collapse.
 
     ``staircase`` takes value i on the i-th of n equal blocks. The paired

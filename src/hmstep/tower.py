@@ -16,12 +16,11 @@ before the call's one ``Rat``. The diagonal flatten is ``stepfn.diagonal``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain
 from typing import Callable
 
-from .core import FiniteSpace, Rat, TestFn, Window, ZERO
+from .core import FiniteSpace, Frozen, Rat, TestFn, Window, ZERO
 from .hm import SpaceMap, _check_points, hm_map
 from .stepfn import (
     StepFn,
@@ -99,15 +98,18 @@ def iterated_functional_eval(
     return Rat(*window_ratio(F, partial(window_ratio, weight=weights.__getitem__, window=inner), outer))
 
 
-@dataclass(frozen=True)
-class MuCandidate:
+class MuCandidate(Frozen):
     """A multiplication proposal: a transformation taking a nested step
     function to a plain one, applied uniformly at every level (values are
     opaque). ``lift`` maps the candidate over the outer values of a level-3
     function, which is the other composite the associativity law compares."""
 
+    _fields = ("name", "transform")
     name: str
     transform: Callable[[StepFn2], StepFn]
+
+    def __init__(self, name: str, transform: Callable[[StepFn2], StepFn]) -> None:
+        self._set(name=name, transform=transform)
 
     def __call__(self, F: StepFn2) -> StepFn:
         # the control candidates return raw inner functions

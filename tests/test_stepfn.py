@@ -282,3 +282,14 @@ class TestFromSegments:
             from_segments(
                 [(0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 4), 2), (Fraction(1, 4), 1, 3)]
             )
+
+
+def test_a_built_stepfn_cannot_be_rewritten():
+    # the validation hook is public by name; calling it again must not change
+    # the values, and so the hash, of a function a set already holds
+    f = StepFn((0, 1), (1,))
+    held = {f}
+    with pytest.raises(AttributeError):
+        f.__post_init__((0, "1/2", 1), (7, 8))
+    assert (f.den, f.ticks, f.values) == (1, (0, 1), (1,))
+    assert f in held and f == StepFn((0, 1), (1,))
