@@ -172,43 +172,38 @@ def _law_block(candidate: str, samples: int, seed: int, chain_ns: range) -> list
 def run(config: RunConfig) -> tuple[int, Report]:
     """Execute the configured command; returns (exit_code, report).
 
-    May raise :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
+    Each block runs for its own command and for ``all``, which fixes laws 1..4,
+    fiber 1..3 at grid 2 and probe 1..16. May raise :class:`BudgetError`, before
+    any work, or ``MemoryError``; ``main`` maps both to exit code 3.
     """
     suites: list[LawReport] = []
     probe_rows: list[ProbeRow] = []
     lo, hi = config.n_range
-    mu = CANDIDATES[config.candidate]
+    chain_ns = fiber_ns = range(lo, hi + 1)
+    fiber_grid = config.grid or 2
+    if config.command == "all":
+        chain_ns, fiber_ns, fiber_grid, (lo, hi) = range(1, 5), range(1, 4), 2, (1, 16)
     grid = config.grid or 12
     # laws reads no grid: its suites run at fixed grids 8, 4 and 4, and each sample is charged 12
-    counted = grid if config.command in ("lemmas", "all") else 12
-    if config.command in ("lemmas", "laws", "all") and config.samples * counted > DEFAULT_SAMPLE_BUDGET:
+    counted = {"lemmas": grid, "laws": 12, "all": grid}.get(config.command, 0)
+    if config.samples * counted > DEFAULT_SAMPLE_BUDGET:
         raise BudgetError(
             f"samples times grid ({config.samples} x {counted}) is over the budget of {DEFAULT_SAMPLE_BUDGET}"
         )
-    if config.command == "probe" and (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
-        raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
     if config.command in ("lemmas", "all"):
         suites.extend(_lemma_block(config.samples, config.seed, grid))
-    if config.command == "laws":
-        suites.extend(_law_block(config.candidate, config.samples, config.seed, range(lo, hi + 1)))
-    elif config.command == "all":
-        suites.extend(_law_block(config.candidate, config.samples, config.seed, range(1, 5)))
-    if config.command == "fiber":
-        for n in range(lo, hi + 1):
-            suites.append(fiber_uniqueness(n, config.grid or 2).to_report())
-    elif config.command == "all":
-        for n, grid in ((1, 2), (2, 2), (3, 2)):
-            suites.append(fiber_uniqueness(n, grid).to_report())
-    if config.command == "probe":
-        probe_rows = discontinuity_probe(mu, hi, lo)
-    elif config.command == "all":
-        probe_rows = discontinuity_probe(mu, 16)
-    report = Report(
-        tool_version=__version__,
-        config=config.echo(),
-        suites=tuple(suites),
-        probe=tuple(probe_rows),
-    )
+    if config.command in ("laws", "all"):
+        suites.extend(_law_block(config.candidate, config.samples, config.seed, chain_ns))
+    if config.command in ("fiber", "all"):
+        # the budget grows with n: decide the largest n first, so an over-budget range does no work
+        largest = fiber_uniqueness(fiber_ns[-1], fiber_grid)
+        suites.extend(fiber_uniqueness(n, fiber_grid).to_report() for n in fiber_ns[:-1])
+        suites.append(largest.to_report())
+    if config.command in ("probe", "all"):
+        if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
+            raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
+        probe_rows = discontinuity_probe(CANDIDATES[config.candidate], hi, lo)
+    report = Report(__version__, config.echo(), tuple(suites), tuple(probe_rows))
     return (0 if report.passed else 1), report
 
 

@@ -38,7 +38,10 @@ from .stepfn import (
 
 def _check_points(space: FiniteSpace, points: Iterable) -> set:
     """The distinct points, each checked against the space."""
-    distinct = set(points)
+    try:
+        distinct = set(points)
+    except TypeError as exc:  # no space holds an unhashable value
+        raise ValueError(f"an unhashable value ({exc}) is not a point of the given space") from None
     for v in distinct:
         if v not in space:
             raise ValueError(f"{v!r} is not a point of the given space")
@@ -78,14 +81,17 @@ class SpaceMap(Frozen):
     rule form ``_RuleMap`` computes images by a callable and derives
     ``assignment`` on demand; it checks no image, so it is built only where the
     rule lands in the target by construction: :func:`product_projections` and
-    the equality collapse of ``laws.build_witnesses``. A rule map never equals a
-    tuple map.
+    the equality collapse of ``laws.build_witnesses``. Both forms carry a
+    ``rule`` from source points to images, outside the fields: a call refuses
+    a non-point, then applies it, and :func:`hm_map` checks a step function's
+    values once, then applies it to each. A rule map never equals a tuple map.
     """
 
     _fields = ("source", "target", "assignment")
     source: FiniteSpace
     target: FiniteSpace
     assignment: tuple
+    rule: Callable[[object], object]
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, assignment: Iterable) -> None:
         assignment = tuple(assignment)
@@ -94,10 +100,12 @@ class SpaceMap(Frozen):
         for y in set(assignment):
             if y not in target:
                 raise ValueError(f"image {y!r} is not a point of the target space")
-        self._set(source=source, target=target, assignment=assignment)
+        rule = dict(zip(source.labels, assignment)).__getitem__
+        self._set(source=source, target=target, assignment=assignment, rule=rule)
 
     def __call__(self, x: object) -> object:
-        return self.assignment[self.source.index_of(x)]
+        self.source.index_of(x)  # refuses a non-point
+        return self.rule(x)
 
     def after(self, other: SpaceMap) -> SpaceMap:
         """Composite self ∘ other; other's target must be self's source."""
@@ -121,10 +129,6 @@ class _RuleMap(SpaceMap):
     @property
     def assignment(self) -> tuple:  # type: ignore[override]
         return tuple(map(self.rule, self.source.labels))
-
-    def __call__(self, x: object) -> object:
-        self.source.index_of(x)  # refuses a non-point
-        return self.rule(x)
 
 
 def product_projections(
@@ -171,7 +175,7 @@ def hm_map(h: SpaceMap, f: StepFn) -> StepFn:
     """Post-compose f with the point map h; the canonical result never has
     more pieces than f."""
     _check_points(h.source, f.values)
-    return map_values(f, h.rule if isinstance(h, _RuleMap) else h)  # the points are checked above
+    return map_values(f, h.rule)  # the points are checked above
 
 
 def unit(x: object, space: FiniteSpace) -> StepFn:

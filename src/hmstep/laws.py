@@ -8,9 +8,11 @@ driving the bump tower toward its limit while watching the images. Every
 check is an exact rational comparison; reports record concrete witnesses
 for each failure.
 
-A sampled suite is one trial generator run by ``_run_suite``: the runner owns
-the seeded stream, the sample loop and the report, and the trial draws one
-sample from the stream and yields a failure for each check that does not hold.
+A sampled suite is one trial run by ``_run_suite``: the runner owns the seeded
+stream, the sample loop and the report, and the trial draws one sample from
+the stream and returns an iterator of the failures of the checks that do not
+hold. An equality check returns ``_differs``, which builds its witness text
+only for sides that differ; monotonicity and the metric axioms yield their own.
 """
 
 from __future__ import annotations
@@ -258,6 +260,15 @@ def _run_suite(law: str, samples: int, seed: int, trial: Callable, candidate: st
     return LawReport(candidate, law, samples, failures)
 
 
+def _differs(
+    expected: object, actual: object, describe: Callable[[], str], show: Callable = str
+) -> Iterator[LawFailure]:
+    """The failure of one equality check, if its sides differ; only then are
+    the ``describe`` thunk and ``show`` called to write the witness."""
+    if expected != actual:
+        yield LawFailure(describe(), show(expected), show(actual))
+
+
 def _random_window(rng: random.Random, max_den: int = 12) -> Window:
     den = rng.randint(1, max_den)
     i = rng.randint(0, den - 1)
@@ -319,16 +330,9 @@ def check_linearity(spaces: list[FiniteSpace], samples: int, seed: int, grid: in
         w = _random_window(rng, grid)
         combo = phi1.scaled(lam1) + phi2.scaled(lam2)
         left = functional_eval(Functional(combo, w), f)
-        right = lam1 * functional_eval(Functional(phi1, w), f) + lam2 * functional_eval(
-            Functional(phi2, w), f
-        )
-        if left != right:
-            yield LawFailure(
-                input=f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
-                f"lams=({lam1},{lam2}) phi1={phi1.values} phi2={phi2.values}",
-                expected=str(right),
-                actual=str(left),
-            )
+        right = lam1 * functional_eval(Functional(phi1, w), f) + lam2 * functional_eval(Functional(phi2, w), f)
+        return _differs(right, left, lambda: f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
+                        f"lams=({lam1},{lam2}) phi1={phi1.values} phi2={phi2.values}")
 
     return _run_suite("linearity", samples, seed, trial)
 
@@ -345,12 +349,8 @@ def check_monotonicity(spaces: list[FiniteSpace], samples: int, seed: int, grid:
         low = functional_eval(Functional(phi1, w), f)
         high = functional_eval(Functional(phi2, w), f)
         if low > high:
-            yield LawFailure(
-                input=f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
-                f"phi1={phi1.values} phi2={phi2.values}",
-                expected=f"<= {high}",
-                actual=str(low),
-            )
+            yield LawFailure(f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
+                             f"phi1={phi1.values} phi2={phi2.values}", f"<= {high}", str(low))
 
     return _run_suite("monotonicity", samples, seed, trial)
 
@@ -366,13 +366,8 @@ def check_coordinate_naturality(samples: int, seed: int, grid: int = 12) -> LawR
         f = random_stepfn(src, rng.randint(1, grid), rng)
         left = functional_eval(Functional(phi, w), hm_map(h, f))
         right = functional_eval(Functional(compose_testfn(phi, h), w), f)
-        if left != right:
-            yield LawFailure(
-                input=f"map={h.assignment} f={format_stepfn(f)} window=({w.a},{w.b}) "
-                f"phi={phi.values}",
-                expected=str(right),
-                actual=str(left),
-            )
+        return _differs(right, left, lambda: f"map={h.assignment} f={format_stepfn(f)} window=({w.a},{w.b}) "
+                        f"phi={phi.values}")
 
     return _run_suite("coordinate-naturality", samples, seed, trial)
 
@@ -385,12 +380,7 @@ def check_unit_coordinate(spaces: list[FiniteSpace], samples: int, seed: int) ->
         phi = TestFn(space, _random_rats(rng, space.n))
         w = _random_window(rng)
         got = functional_eval(Functional(phi, w), unit(x, space))
-        if got != phi(x):
-            yield LawFailure(
-                input=f"{_space_tag(space)} x={x} window=({w.a},{w.b}) phi={phi.values}",
-                expected=str(phi(x)),
-                actual=str(got),
-            )
+        return _differs(phi(x), got, lambda: f"{_space_tag(space)} x={x} window=({w.a},{w.b}) phi={phi.values}")
 
     return _run_suite("unit-coordinate", samples, seed, trial)
 
@@ -404,12 +394,8 @@ def check_support_criterion(spaces: list[FiniteSpace], samples: int, seed: int, 
         b_set = frozenset(rng.sample(space.labels, size))
         got = support_criterion_check(space, f, b_set)
         expected = support(f) <= b_set
-        if got != expected:
-            yield LawFailure(
-                input=f"{_space_tag(space)} f={format_stepfn(f)} B={sorted(map(str, b_set))}",
-                expected=str(expected),
-                actual=str(got),
-            )
+        return _differs(expected, got, lambda: f"{_space_tag(space)} f={format_stepfn(f)} "
+                        f"B={sorted(map(str, b_set))}")
 
     return _run_suite("support-criterion", samples, seed, trial)
 
@@ -422,12 +408,7 @@ def check_support_membership(spaces: list[FiniteSpace], samples: int, seed: int,
         x = rng.choice(space.labels)
         got = support_membership_check(space, f, x)
         expected = x in support(f)
-        if got != expected:
-            yield LawFailure(
-                input=f"{_space_tag(space)} f={format_stepfn(f)} x={x}",
-                expected=str(expected),
-                actual=str(got),
-            )
+        return _differs(expected, got, lambda: f"{_space_tag(space)} f={format_stepfn(f)} x={x}")
 
     return _run_suite("support-membership", samples, seed, trial)
 
@@ -503,12 +484,8 @@ def check_unit_laws(mu: MuCandidate, spaces: list[FiniteSpace], samples: int, se
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, _UNIT_GRID), rng)
         for side, flat in (("inside", mu(h_eta(f))), ("outside", mu(eta_h(f)))):
-            if flat != f:
-                yield LawFailure(
-                    input=f"{_space_tag(space)} unit-{side} f={format_stepfn(f)}",
-                    expected=format_stepfn(f),
-                    actual=format_stepfn(flat),
-                )
+            describe = lambda: f"{_space_tag(space)} unit-{side} f={format_stepfn(f)}"
+            yield from _differs(f, flat, describe, format_stepfn)
 
     return _run_suite("unit-laws", samples, seed, trial, mu.name)
 
@@ -520,14 +497,8 @@ def check_associativity(mu: MuCandidate, spaces: list[FiniteSpace], samples: int
         space = rng.choice(spaces)
         grid = _ASSOCIATIVITY_GRID
         F3 = random_stepfn3(space, rng.randint(1, grid), grid, grid, rng)
-        outer_first = mu(mu(F3))
-        inner_first = mu(mu.lift(F3))
-        if outer_first != inner_first:
-            yield LawFailure(
-                input=f"{_space_tag(space)} F3={format_stepfn(F3)}",
-                expected=format_stepfn(outer_first),
-                actual=format_stepfn(inner_first),
-            )
+        outer_first, inner_first = mu(mu(F3)), mu(mu.lift(F3))
+        return _differs(outer_first, inner_first, lambda: f"{_space_tag(space)} F3={format_stepfn(F3)}", format_stepfn)
 
     return _run_suite("associativity", samples, seed, trial, mu.name)
 
@@ -539,14 +510,8 @@ def check_naturality(mu: MuCandidate, map_samples: int, seed: int) -> LawReport:
         dst = make_discrete_space(rng.randint(1, 4))
         h = SpaceMap(src, dst, tuple(rng.choice(dst.labels) for _ in src.labels))
         F = random_stepfn2(src, _NATURALITY_GRID, _NATURALITY_GRID, rng)
-        left = mu(h2_map(h, F))
-        right = hm_map(h, mu(F))
-        if left != right:
-            yield LawFailure(
-                input=f"map={h.assignment} F={format_stepfn(F)}",
-                expected=format_stepfn(right),
-                actual=format_stepfn(left),
-            )
+        left, right = mu(h2_map(h, F)), hm_map(h, mu(F))
+        return _differs(right, left, lambda: f"map={h.assignment} F={format_stepfn(F)}", format_stepfn)
 
     return _run_suite("naturality", map_samples, seed, trial, mu.name)
 
