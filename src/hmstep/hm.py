@@ -76,8 +76,8 @@ class Pseudometric(Frozen):
 class SpaceMap(Frozen):
     """A (total) map between finite spaces, one target point per source point.
 
-    ``SpaceMap(source, target, assignment)`` is the public form: it checks one
-    image per source point, in label order, each a point of the target. The
+    ``SpaceMap(source, target, assignment)`` is the public form: one image per
+    source point, in label order, each checked by ``_check_points``. The
     rule form ``_RuleMap`` computes images by a callable and derives
     ``assignment`` on demand; it checks no image, so it is built only where the
     rule lands in the target by construction: :func:`product_projections` and
@@ -97,9 +97,7 @@ class SpaceMap(Frozen):
         assignment = tuple(assignment)
         if len(assignment) != source.n:
             raise ValueError("need exactly one image per source point")
-        for y in set(assignment):
-            if y not in target:
-                raise ValueError(f"image {y!r} is not a point of the target space")
+        _check_points(target, assignment)
         rule = dict(zip(source.labels, assignment)).__getitem__
         self._set(source=source, target=target, assignment=assignment, rule=rule)
 
@@ -192,18 +190,17 @@ def support(f: StepFn) -> frozenset:
 
 def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
     """Coordinate test for support containment: true iff every indicator of a
-    point outside ``b_set`` averages to zero over the full window. An
-    indicator is nonnegative, so that is zero over every window at once.
-
+    point outside ``b_set`` averages to zero over the full window (an
+    indicator is nonnegative, so over every window). ``b_set`` and f are
+    checked here, once, so each indicator goes straight to the kernel.
     Agrees exactly with ``support(f) <= b_set``.
     """
-    targets = frozenset(b_set)
+    targets = _check_points(space, b_set)
     if not targets:
         raise ValueError("the candidate support set must be nonempty")
-    _check_points(space, targets)
     _check_points(space, f.values)
     return all(
-        functional_eval(Functional(TestFn.indicator(space, y), FULL_WINDOW), f) == ZERO
+        window_average(f, TestFn.indicator(space, y), FULL_WINDOW) == ZERO
         for y in space.labels
         if y not in targets
     )
@@ -213,11 +210,12 @@ def support_membership_check(space: FiniteSpace, f: StepFn, x: object) -> bool:
     """Coordinate test for membership of a point in the support: the witness
     level is the total length of pieces at x, and the decisive [0,1]-valued
     test function fixing x is its indicator (any other dominates it
-    pointwise). Agrees exactly with ``x in support(f)``."""
+    pointwise). x and f are checked here, once, for both kernels. Agrees
+    exactly with ``x in support(f)``."""
     _check_points(space, (x,))
     _check_points(space, f.values)
     witness = measure_preimage(f, {x}, FULL_WINDOW)
     if witness == ZERO:
         return False
-    ind = Functional(TestFn.indicator(space, x), FULL_WINDOW)
-    return functional_eval(ind, f) >= witness
+    ind = TestFn.indicator(space, x)
+    return window_average(f, ind, FULL_WINDOW) >= witness

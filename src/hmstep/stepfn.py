@@ -22,12 +22,12 @@ one result per public call, not per kernel call: the pair kernels sum exact
 They sum in one pass as they walk the ticks and build no cells; the one other
 pair walk builds ``pairing``, whose pieces are ``common_refinement``'s cells.
 
-Validation happens once, at the public boundary: the ``StepFn`` constructor,
-:func:`from_segments` and :func:`parse_stepfn` coerce and check whatever they
-are given. Internal producers (``blocks``, ``map_values``, ``canonicalize``,
-``pairing``, ``diagonal``) derive their partitions from inputs already checked,
-so they run the one merge scan and build their canonical result once, with
-no second validation pass; ``constant``'s one-piece partition is fixed.
+Validation happens once, at the public boundary: the ``StepFn`` constructor
+coerces and checks every partition, and :func:`from_segments` and
+:func:`parse_stepfn` check only what it cannot see. Internal producers
+(``blocks``, ``map_values``, ``canonicalize``, ``pairing``, ``diagonal``)
+derive their partitions from checked inputs, so they run the one merge scan
+and build their canonical result once; ``constant``'s partition is fixed.
 """
 
 from __future__ import annotations
@@ -174,20 +174,15 @@ def constant(value: object) -> StepFn:
 
 def from_segments(segments: Iterable[tuple[Rat, Rat, object]]) -> StepFn:
     """Assemble a canonical step function from contiguous (start, end, value)
-    triples covering [0, 1) in order. Zero-length segments are tolerated;
-    gaps, overlaps and segments running backwards are refused."""
+    triples covering [0, 1) in order; zero-length segments are tolerated. Only
+    contiguity is checked here: ``StepFn`` refuses backwards or short covers."""
     bps: list[Rat] = [ZERO]
     vals: list = []
     for start, end, v in segments:
-        start, end = as_rat(start), as_rat(end)
-        if start != bps[-1]:
+        if as_rat(start) != bps[-1]:
             raise ValueError("segments must be contiguous from 0 to 1")
-        if end < start:
-            raise ValueError(f"segment [{start}, {end}) runs backwards")
-        bps.append(end)
+        bps.append(as_rat(end))
         vals.append(v)
-    if not vals or bps[-1] != ONE:
-        raise ValueError("segments must cover [0, 1)")
     return canonicalize(StepFn(bps, vals))
 
 

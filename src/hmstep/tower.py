@@ -123,9 +123,7 @@ class MuCandidate(Frozen):
 def _constant_left(F: StepFn2) -> StepFn:
     # deliberately broken: forgets everything but the leftmost inner function
     _check_nested(F)
-    g = evaluate(F, ZERO)
-    assert isinstance(g, StepFn)
-    return g
+    return evaluate(F, ZERO)
 
 
 def _remap_last(F: StepFn2) -> StepFn:

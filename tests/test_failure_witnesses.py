@@ -53,20 +53,17 @@ FIRST_FAILURE = {
     "linearity": (20, (
         "space((1, 1),(1, 2),(2, 1),(2, 2)) f=0 (2,1) 1/5 (1,1) 2/5 (2,2) 3/5 (1,2) 4/5 (1,1) 1 "
         "window=(1/5,1) lams=(2,1/4) "
-        "phi1=(Fraction(-2, 1), Fraction(2, 3), Fraction(2, 1), Fraction(-2, 3)) "
-        "phi2=(Fraction(13, 7), Fraction(-15, 7), Fraction(15, 7), Fraction(-6, 7))",
+        "phi1=(-2,2/3,2,-2/3) phi2=(13/7,-15/7,15/7,-6/7)",
         "33/112",
         "-107/112",
     )),
     "coordinate-naturality": (17, (
-        "map=(3, 2, 3, 3, 3) f=0 3 1/2 4 1 window=(0,1/2) "
-        "phi=(Fraction(-26, 9), Fraction(26, 9), Fraction(2, 9))",
+        "map=(3, 2, 3, 3, 3) f=0 3 1/2 4 1 window=(0,1/2) phi=(-26/9,26/9,2/9)",
         "4/9",
         "2/9",
     )),
     "unit-coordinate": (20, (
-        "space((1, 1),(1, 2),(2, 1),(2, 2)) x=(2, 1) window=(0,1/2) "
-        "phi=(Fraction(3, 4), Fraction(31, 12), Fraction(-11, 4), Fraction(23, 12))",
+        "space((1, 1),(1, 2),(2, 1),(2, 2)) x=(2, 1) window=(0,1/2) phi=(3/4,31/12,-11/4,23/12)",
         "-11/4",
         "-7/4",
     )),
