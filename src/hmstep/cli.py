@@ -1,23 +1,26 @@
 """Batch verification front end.
 
-Runs the coordinate/support suites, the monad-law suites for a chosen
-candidate, the fiber oracle, and the discontinuity probe, then renders one
-deterministic report (JSON, CSV for probe rows, or text). Identical config
-and seed produce byte-identical reports. Exit codes: 0 all checks pass,
-1 some assertion failed, 2 usage error, 3 over budget, out of memory, or the
-report cannot be rendered or written.
+Checks every budget, then runs the coordinate/support suites, the monad-law
+suites for a chosen candidate and the discontinuity probe in forked workers,
+one per CPU, and the fiber oracle here. Renders one deterministic report
+(JSON, CSV for probe rows, or text), byte-identical for identical config and
+seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error,
+3 over budget, out of memory, or the report cannot be rendered or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import NamedTuple
+from functools import partial
+from typing import BinaryIO, Callable, NamedTuple
 
 from . import __version__
 from .laws import (
     CANDIDATES,
+    DEFAULT_CHAIN_BUDGET,
     DEFAULT_PROBE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     BudgetError,
@@ -143,41 +146,92 @@ def parse_config(argv: list[str]) -> RunConfig:
     )
 
 
-def _lemma_block(samples: int, seed: int, grid: int) -> list[LawReport]:
+def _lemma_block(samples: int, seed: int, grid: int) -> list[Callable[[], LawReport]]:
     pool = default_spaces()
     return [
-        check_linearity(pool, samples, seed + 1, grid=grid),
-        check_monotonicity(pool, samples, seed + 2, grid=grid),
-        check_coordinate_naturality(samples, seed + 3, grid=grid),
-        check_unit_coordinate(pool, samples, seed + 4),
-        check_support_criterion(pool, samples, seed + 5, grid=grid),
-        check_support_membership(pool, samples, seed + 6, grid=grid),
-        check_metric_axioms(pool, samples, seed + 7, grid=grid),
-        check_metric_axioms_level2(pool, samples, seed + 8),
+        partial(check_linearity, pool, samples, seed + 1, grid=grid),
+        partial(check_monotonicity, pool, samples, seed + 2, grid=grid),
+        partial(check_coordinate_naturality, samples, seed + 3, grid=grid),
+        partial(check_unit_coordinate, pool, samples, seed + 4),
+        partial(check_support_criterion, pool, samples, seed + 5, grid=grid),
+        partial(check_support_membership, pool, samples, seed + 6, grid=grid),
+        partial(check_metric_axioms, pool, samples, seed + 7, grid=grid),
+        partial(check_metric_axioms_level2, pool, samples, seed + 8),
     ]
 
 
-def _law_block(candidate: str, samples: int, seed: int, chain_ns: range) -> list[LawReport]:
+def _law_block(candidate: str, samples: int, seed: int, chain_ns: range) -> list[Callable[[], LawReport]]:
     mu = CANDIDATES[candidate]
     pool = default_spaces(3)
-    reports = [
-        check_unit_laws(mu, pool, samples, seed + 11),
-        check_associativity(mu, pool, samples, seed + 12),
-        check_naturality(mu, samples, seed + 13),
+    return [
+        partial(check_unit_laws, mu, pool, samples, seed + 11),
+        partial(check_associativity, mu, pool, samples, seed + 12),
+        partial(check_naturality, mu, samples, seed + 13),
+        *(partial(forced_value_chain, n, mu, seed=seed + 20 + n) for n in chain_ns),
     ]
-    reports.extend(forced_value_chain(n, mu, seed=seed + 20 + n) for n in chain_ns)
-    return reports
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork, or where another thread runs."""
+    if not hasattr(os, "fork") or (threads := sys.modules.get("threading")) and threads.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _results(jobs: list[Callable]) -> list:
+    """Each job's value in job order, or the exception a serial run raises first. Of w = min(CPUs, jobs)
+    workers, forked child i runs ``jobs[i::w]`` and pipes back its pickled outcomes; this process runs the rest."""
+    width = max(1, min(_cpus(), len(jobs)))
+
+    def share(start: int) -> list[tuple[int, bool, object]]:
+        """(index, True, value) for each job of ``jobs[start::width]``, up to the first (index, False, exception)."""
+        done = []
+        for index in range(start, len(jobs), width):
+            try:
+                done.append((index, True, jobs[index]()))
+            except Exception as exc:
+                return [*done, (index, False, exc)]
+        return done
+    children: dict[int, BinaryIO] = {}
+    try:
+        if width > 1:
+            import pickle
+            import signal
+            for i in range(1, width):
+                read_end, write_end = os.pipe()
+                if (pid := os.fork()) == 0:
+                    try:
+                        with open(write_end, "wb") as pipe:
+                            pipe.write(pickle.dumps(share(i)))
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write_end)
+                children[pid] = open(read_end, "rb")
+        outcomes = share(0)
+        for i, pid in enumerate(list(children), 1):
+            data = children[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            outcomes += pickle.loads(data) if status == 0 and data else share(i)  # a dead child's share runs here
+    finally:  # no child outlives the call
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    outcomes.sort()  # each worker stops at its first exception: the lowest index that raised is the serial run's
+    if raised := [value for _, ok, value in outcomes if not ok]:
+        raise raised[0]
+    return [value for _, _, value in outcomes]
 
 
 def run(config: RunConfig) -> tuple[int, Report]:
     """Execute the configured command; returns (exit_code, report).
 
     Each block runs for its own command and for ``all``, which fixes laws 1..4,
-    fiber 1..3 at grid 2 and probe 1..16. May raise :class:`BudgetError`, before
-    any work, or ``MemoryError``; ``main`` maps both to exit code 3.
+    fiber 1..3 at grid 2 and probe 1..16. Every budget is checked before any job.
+    May raise :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
     """
-    suites: list[LawReport] = []
-    probe_rows: list[ProbeRow] = []
     lo, hi = config.n_range
     chain_ns = fiber_ns = range(lo, hi + 1)
     fiber_grid = config.grid or 2
@@ -190,19 +244,24 @@ def run(config: RunConfig) -> tuple[int, Report]:
         raise BudgetError(
             f"samples times grid ({config.samples} x {counted}) is over the budget of {DEFAULT_SAMPLE_BUDGET}"
         )
-    if config.command in ("lemmas", "all"):
-        suites.extend(_lemma_block(config.samples, config.seed, grid))
+    a, b = chain_ns[0] - 1, chain_ns[-1]  # n * n summed over 1..m is m(m+1)(2m+1)/6
+    cost = (b * (b + 1) * (2 * b + 1) - a * (a + 1) * (2 * a + 1)) // 6
+    if config.command in ("laws", "all") and cost > DEFAULT_CHAIN_BUDGET:
+        raise BudgetError(f"n squared over chains {a + 1}..{b} ({cost}) is over the budget of {DEFAULT_CHAIN_BUDGET}")
+    if config.command in ("probe", "all") and (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
+        raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
+    jobs = _lemma_block(config.samples, config.seed, grid) if config.command in ("lemmas", "all") else []
     if config.command in ("laws", "all"):
-        suites.extend(_law_block(config.candidate, config.samples, config.seed, chain_ns))
+        jobs += _law_block(config.candidate, config.samples, config.seed, chain_ns)
+    if config.command in ("probe", "all"):
+        jobs.append(partial(discontinuity_probe, CANDIDATES[config.candidate], hi, lo))
+    suites = _results(jobs)
+    probe_rows = suites.pop() if config.command in ("probe", "all") else []
     if config.command in ("fiber", "all"):
         # the budget grows with n: decide the largest n first, so an over-budget range does no work
         largest = fiber_uniqueness(fiber_ns[-1], fiber_grid)
         suites.extend(fiber_uniqueness(n, fiber_grid).to_report() for n in fiber_ns[:-1])
         suites.append(largest.to_report())
-    if config.command in ("probe", "all"):
-        if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
-            raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
-        probe_rows = discontinuity_probe(CANDIDATES[config.candidate], hi, lo)
     report = Report(__version__, config.echo(), tuple(suites), tuple(probe_rows))
     return (0 if report.passed else 1), report
 

@@ -85,6 +85,7 @@ DEFAULT_SAMPLE_BUDGET = 12_000
 _UNIT_GRID, _ASSOCIATIVITY_GRID, _NATURALITY_GRID = 8, 4, 4
 # n summed over the probe's rows, each linear in n: exactly probe 1..512
 DEFAULT_PROBE_BUDGET = 512 * 513 // 2
+DEFAULT_CHAIN_BUDGET = 9_000_000  # n squared summed over the chains of laws --n-range: 1..299, or 3000 alone
 
 
 class BudgetError(RuntimeError):

@@ -14,7 +14,7 @@ import pytest
 
 import hmstep
 from hmstep.cli import Report, RunConfig, emit_report, main, parse_config, run
-from hmstep.laws import DEFAULT_PROBE_BUDGET, DEFAULT_SAMPLE_BUDGET
+from hmstep.laws import DEFAULT_CHAIN_BUDGET, DEFAULT_PROBE_BUDGET, DEFAULT_SAMPLE_BUDGET, LawReport
 from test_fiber_factored import TIMED_MAIN, _limit_memory
 
 SRC = str(Path(hmstep.__file__).resolve().parent.parent)
@@ -338,3 +338,37 @@ class TestProbeBudget:
             run(parse_config(["probe", "--n-range", f"{far}:{far}"]))
         with pytest.raises(hmstep.BudgetError):
             run(parse_config(["probe", "--n-range", "300:600"]))
+
+
+class TestChainBudget:
+    """n squared summed over the forced chains of ``laws`` is refused over ``DEFAULT_CHAIN_BUDGET`` before any work."""
+
+    def test_wide_range_exits_three_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", TIMED_MAIN, "laws", "--n-range", "1:400", "--samples", "1"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("hmstep:") and "budget" in lines[0]
+        assert float(proc.stdout) < 0.1
+
+    @pytest.mark.parametrize("lo, hi, cost", ((1, 300, 9_045_050), (2999, 3000, 17_994_001)))
+    def test_one_over_the_budget_is_refused(self, lo, hi, cost):
+        assert sum(n * n for n in range(lo, hi + 1)) == cost
+        with pytest.raises(hmstep.BudgetError, match=f"{lo}..{hi} \\({cost}\\)"):
+            run(parse_config(["laws", "--n-range", f"{lo}:{hi}", "--samples", "1"]))
+
+    @pytest.mark.parametrize("lo, hi, cost", ((1, 299, 8_955_050), (3000, 3000, 9_000_000)))
+    def test_budget_edge_is_admitted(self, monkeypatch, lo, hi, cost):
+        # the chains are stubbed: admission is decided before any of them runs
+        assert DEFAULT_CHAIN_BUDGET == 9_000_000 and sum(n * n for n in range(lo, hi + 1)) == cost
+        stub = lambda n, mu, seed: LawReport(mu.name, f"chain-stub-{n}-{seed}", 1, ())  # noqa: E731
+        monkeypatch.setattr(hmstep.cli, "forced_value_chain", stub)
+        code, report = run(parse_config(["laws", "--n-range", f"{lo}:{hi}", "--samples", "1"]))
+        assert code == 0
+        assert [s.law for s in report.suites[3:]] == [f"chain-stub-{n}-{20 + n}" for n in range(lo, hi + 1)]
