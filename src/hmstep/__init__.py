@@ -55,7 +55,6 @@ from .tower import (
 from .laws import (
     CANDIDATES,
     BudgetError,
-    FiberBudgetError,
     FiberResult,
     LawReport,
     ProbeRow,

@@ -1,8 +1,9 @@
 """Batch verification front end.
 
-Checks every budget, then runs the coordinate/support suites, the monad-law
-suites for a chosen candidate and the discontinuity probe in forked workers,
-one per CPU, and the fiber oracle here. Renders one deterministic report
+Checks all four budgets (samples, forced chains, fiber, probe rows) in one
+gate, then runs the coordinate/support suites, the monad-law suites for a
+chosen candidate, the fiber decisions and the discontinuity probe as jobs in
+forked workers, one per CPU. Renders one deterministic report
 (JSON, CSV for probe rows, or text), byte-identical for identical config and
 seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error,
 3 over budget, out of memory, or the report cannot be rendered or written.
@@ -21,6 +22,7 @@ from . import __version__
 from .laws import (
     CANDIDATES,
     DEFAULT_CHAIN_BUDGET,
+    DEFAULT_FIBER_BUDGET,
     DEFAULT_PROBE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     BudgetError,
@@ -228,40 +230,42 @@ def _results(jobs: list[Callable]) -> list:
 def run(config: RunConfig) -> tuple[int, Report]:
     """Execute the configured command; returns (exit_code, report).
 
-    Each block runs for its own command and for ``all``, which fixes laws 1..4,
-    fiber 1..3 at grid 2 and probe 1..16. Every budget is checked before any job.
-    May raise :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
+    A command runs its own block over --n-range, and ``all`` runs every block at fixed ranges: the lemmas,
+    laws 1..4, fiber 1..3 at grid 2 and probe 1..16. The budgets and the jobs are both read from that one set
+    of blocks, and every budget is checked before any job. May raise :class:`BudgetError` or ``MemoryError``;
+    ``main`` maps both to exit code 3.
     """
-    lo, hi = config.n_range
-    chain_ns = fiber_ns = range(lo, hi + 1)
+    blocks = {config.command: range(config.n_range[0], config.n_range[1] + 1)}
     fiber_grid = config.grid or 2
     if config.command == "all":
-        chain_ns, fiber_ns, fiber_grid, (lo, hi) = range(1, 5), range(1, 4), 2, (1, 16)
+        blocks, fiber_grid = {"lemmas": None, "laws": range(1, 5), "fiber": range(1, 4), "probe": range(1, 17)}, 2
     grid = config.grid or 12
-    # laws reads no grid: its suites run at fixed grids 8, 4 and 4, and each sample is charged 12
-    counted = {"lemmas": grid, "laws": 12, "all": grid}.get(config.command, 0)
+    # lemma suites cost linear in --grid; the law suites run at fixed grids 8, 4 and 4, and are charged 12
+    counted = max(grid if "lemmas" in blocks else 0, 12 if "laws" in blocks else 0)
     if config.samples * counted > DEFAULT_SAMPLE_BUDGET:
         raise BudgetError(
             f"samples times grid ({config.samples} x {counted}) is over the budget of {DEFAULT_SAMPLE_BUDGET}"
         )
-    a, b = chain_ns[0] - 1, chain_ns[-1]  # n * n summed over 1..m is m(m+1)(2m+1)/6
-    cost = (b * (b + 1) * (2 * b + 1) - a * (a + 1) * (2 * a + 1)) // 6
-    if config.command in ("laws", "all") and cost > DEFAULT_CHAIN_BUDGET:
-        raise BudgetError(f"n squared over chains {a + 1}..{b} ({cost}) is over the budget of {DEFAULT_CHAIN_BUDGET}")
-    if config.command in ("probe", "all") and (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
-        raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
-    jobs = _lemma_block(config.samples, config.seed, grid) if config.command in ("lemmas", "all") else []
-    if config.command in ("laws", "all"):
-        jobs += _law_block(config.candidate, config.samples, config.seed, chain_ns)
-    if config.command in ("probe", "all"):
+    if "laws" in blocks:
+        a, b = blocks["laws"][0] - 1, blocks["laws"][-1]  # n * n summed over 1..m is m(m+1)(2m+1)/6
+        if (cost := (b * (b + 1) * (2 * b + 1) - a * (a + 1) * (2 * a + 1)) // 6) > DEFAULT_CHAIN_BUDGET:
+            raise BudgetError(f"n squared over chains {a + 1}..{b} ({cost}) is over the budget of {DEFAULT_CHAIN_BUDGET}")
+    # n * grid cells times n * n labels bounds the paired base and the assignment count at the largest n
+    if "fiber" in blocks and (n := blocks["fiber"][-1]) ** 3 * fiber_grid > DEFAULT_FIBER_BUDGET:
+        raise BudgetError(f"fiber search at n={n} grid={fiber_grid} is over the budget of {DEFAULT_FIBER_BUDGET}")
+    if "probe" in blocks:
+        lo, hi = blocks["probe"][0], blocks["probe"][-1]
+        if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
+            raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
+    jobs = _lemma_block(config.samples, config.seed, grid) if "lemmas" in blocks else []
+    if "laws" in blocks:
+        jobs += _law_block(config.candidate, config.samples, config.seed, blocks["laws"])
+    if "fiber" in blocks:
+        jobs += [lambda n=n: fiber_uniqueness(n, fiber_grid).to_report() for n in blocks["fiber"]]
+    if "probe" in blocks:
         jobs.append(partial(discontinuity_probe, CANDIDATES[config.candidate], hi, lo))
     suites = _results(jobs)
-    probe_rows = suites.pop() if config.command in ("probe", "all") else []
-    if config.command in ("fiber", "all"):
-        # the budget grows with n: decide the largest n first, so an over-budget range does no work
-        largest = fiber_uniqueness(fiber_ns[-1], fiber_grid)
-        suites.extend(fiber_uniqueness(n, fiber_grid).to_report() for n in fiber_ns[:-1])
-        suites.append(largest.to_report())
+    probe_rows = suites.pop() if "probe" in blocks else []
     report = Report(__version__, config.echo(), tuple(suites), tuple(probe_rows))
     return (0 if report.passed else 1), report
 

@@ -13,8 +13,15 @@ from pathlib import Path
 import pytest
 
 import hmstep
+from hmstep import cli
 from hmstep.cli import Report, RunConfig, emit_report, main, parse_config, run
-from hmstep.laws import DEFAULT_CHAIN_BUDGET, DEFAULT_PROBE_BUDGET, DEFAULT_SAMPLE_BUDGET, LawReport
+from hmstep.laws import (
+    DEFAULT_CHAIN_BUDGET,
+    DEFAULT_FIBER_BUDGET,
+    DEFAULT_PROBE_BUDGET,
+    DEFAULT_SAMPLE_BUDGET,
+    LawReport,
+)
 from test_fiber_factored import TIMED_MAIN, _limit_memory
 
 SRC = str(Path(hmstep.__file__).resolve().parent.parent)
@@ -250,6 +257,7 @@ class TestSampleBudget:
     @pytest.mark.parametrize("argv", (
         ["lemmas", "--grid", "1000000000", "--samples", "1"],
         ["lemmas", "--samples", "1000000000"],
+        ["all", "--samples", "12000", "--grid", "1"],
     ))
     def test_unbounded_samples_exit_three_at_once(self, argv):
         proc = subprocess.run(
@@ -283,6 +291,13 @@ class TestSampleBudget:
         # laws reads no grid, so the default 12 counts: 1000 * 12 is the budget exactly
         assert DEFAULT_SAMPLE_BUDGET == 1000 * 12
         assert main(["laws", "--samples", "1000", "--n-range", "1:1"]) == 0
+        assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    def test_all_pays_the_larger_of_grid_and_twelve(self, capsys):
+        # all runs the law suites too, so grid 1 still charges 12 per sample: 1000 * 12 is the budget exactly
+        with pytest.raises(hmstep.BudgetError, match=r"\(1001 x 12\)"):
+            run(parse_config(["all", "--samples", "1001", "--grid", "1"]))
+        assert main(["all", "--samples", "1000", "--grid", "1"]) == 0
         assert capsys.readouterr().out.endswith("overall: pass\n")
 
     def test_admitted_lemma_edge_runs_in_seconds(self):
@@ -372,3 +387,39 @@ class TestChainBudget:
         code, report = run(parse_config(["laws", "--n-range", f"{lo}:{hi}", "--samples", "1"]))
         assert code == 0
         assert [s.law for s in report.suites[3:]] == [f"chain-stub-{n}-{20 + n}" for n in range(lo, hi + 1)]
+
+
+class TestFiberBudget:
+    """n cubed times grid at the largest n of ``fiber`` is refused over ``DEFAULT_FIBER_BUDGET`` before any work."""
+
+    @pytest.mark.parametrize("n, grid", ((100, 1), (1, 1_000_000), (79, 2)))
+    def test_budget_edge_is_admitted(self, capsys, n, grid):
+        assert n**3 * grid <= DEFAULT_FIBER_BUDGET
+        assert main(["fiber", "--n-range", f"{n}:{n}", "--grid", str(grid)]) == 0
+        assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    @pytest.mark.parametrize("n, grid", ((101, 1), (1, 1_000_001), (80, 2)))
+    def test_one_over_the_budget_is_refused(self, n, grid):
+        assert n**3 * grid > DEFAULT_FIBER_BUDGET
+        with pytest.raises(hmstep.BudgetError, match=f"n={n} grid={grid} is over the budget of {DEFAULT_FIBER_BUDGET}"):
+            run(parse_config(["fiber", "--n-range", f"1:{n}", "--grid", str(grid)]))
+
+
+@pytest.mark.parametrize("argv", (
+    "lemmas --grid 12001 --samples 1",
+    "laws --n-range 1:300",
+    "probe --n-range 1:513",
+    "fiber --n-range 80:80 --grid 2",
+), ids=("samples", "chain", "probe", "fiber"))
+def test_every_budget_is_checked_before_any_job(monkeypatch, capsys, argv):
+    def never(*args):
+        raise AssertionError("work started before the budget gate refused")
+
+    monkeypatch.setattr(cli, "_results", never)
+    monkeypatch.setattr(cli, "fiber_uniqueness", never)
+    with pytest.raises(hmstep.BudgetError):
+        run(parse_config(argv.split()))
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("hmstep:") and "budget" in lines[0]

@@ -28,14 +28,14 @@ def test_over_budget_fiber_range_is_refused_before_any_decision(monkeypatch, cap
     monkeypatch.setattr(cli, "fiber_uniqueness", counted)
     assert cli.main(["fiber", "--n-range", "1:80"]) == 3
     captured = capsys.readouterr()
-    assert len(calls) == 1
+    assert calls == []
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hmstep:") and "budget" in lines[0]
 
 
 def test_fiber_reports_keep_the_range_order():
-    # the largest n is decided first, yet reported last
+    # the fiber jobs may run in any worker, yet are reported in the order of the range
     code, report = cli.run(cli.RunConfig(command="fiber", n_range=(2, 4)))
     assert code == 0
     assert [s.samples for s in report.suites] == [4**4, 9**6, 16**8]

@@ -1,4 +1,4 @@
-"""The fiber decision against brute force, and its budget.
+"""The fiber decision against brute force, and the command line's fiber budget.
 
 ``fiber_uniqueness`` decides the fiber by pairing: projection acts
 pointwise, so the only step function over the paired space whose
@@ -8,8 +8,9 @@ builds every grid step function over the paired space and keeps those whose
 projections, taken through the functor action, are both the staircase. The
 two are compared on every (n, grid) with at most 5000 assignments.
 
-The budget has one clause, cells times labels, so a huge grid is refused
-before any work, also at n = 1 where the assignment count is 1.
+The command line's fiber budget has one clause, cells times labels at the
+largest n, so a huge grid is refused before any work, also at n = 1 where
+the assignment count is 1.
 """
 
 from __future__ import annotations
@@ -40,12 +41,6 @@ def test_factored_search_matches_brute_force(n, grid):
     assert result.checked == (n * n) ** (n * grid)
     assert result.unique == (survivors == {w.diagonal_staircase})
     assert set(result.witnesses) == survivors - {w.diagonal_staircase}
-
-
-def test_budget_bounds_the_grid_at_n_one():
-    assert fiber_uniqueness(1, 4, budget=4).unique
-    with pytest.raises(hmstep.FiberBudgetError):
-        fiber_uniqueness(1, 5, budget=4)
 
 
 def _limit_memory() -> None:

@@ -12,7 +12,6 @@ from hmstep.core import make_discrete_space
 from hmstep.hm import d_hm, hm_map, unit
 from hmstep.laws import (
     CANDIDATES,
-    FiberBudgetError,
     LawReport,
     build_witnesses,
     bump_fn,
@@ -181,12 +180,6 @@ class TestFiberUniqueness:
             result = fiber_uniqueness(n, grid)
             assert result.unique == (survivors == {w.diagonal_staircase})
             assert set(result.witnesses) == survivors - {w.diagonal_staircase}
-
-    def test_budget_guard(self):
-        with pytest.raises(FiberBudgetError):
-            fiber_uniqueness(80, 2)
-        with pytest.raises(FiberBudgetError):
-            fiber_uniqueness(2, 2, budget=10)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
