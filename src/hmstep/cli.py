@@ -182,7 +182,8 @@ def _cpus() -> int:
 
 def _results(jobs: list[Callable]) -> list:
     """Each job's value in job order, or the exception a serial run raises first. Of w = min(CPUs, jobs)
-    workers, forked child i runs ``jobs[i::w]`` and pipes back its pickled outcomes; this process runs the rest."""
+    workers, forked child i runs ``jobs[i::w]`` and pipes back its pickled outcomes; this process runs the rest,
+    and the share of a child that could not be forked or died first."""
     width = max(1, min(_cpus(), len(jobs)))
 
     def share(start: int) -> list[tuple[int, bool, object]]:
@@ -194,14 +195,23 @@ def _results(jobs: list[Callable]) -> list:
             except Exception as exc:
                 return [*done, (index, False, exc)]
         return done
-    children: dict[int, BinaryIO] = {}
+    children: dict[int, tuple[int, BinaryIO]] = {}  # pid: (its share, the read end of its pipe)
+    here = [0]  # the shares this process runs: its own, and each whose pipe or fork failed
     try:
         if width > 1:
             import pickle
             import signal
             for i in range(1, width):
-                read_end, write_end = os.pipe()
-                if (pid := os.fork()) == 0:
+                ends = ()
+                try:
+                    ends = read_end, write_end = os.pipe()
+                    pid = os.fork()
+                except OSError:
+                    here.append(i)
+                    for end in ends:
+                        os.close(end)
+                    continue
+                if pid == 0:
                     try:
                         with open(write_end, "wb") as pipe:
                             pipe.write(pickle.dumps(share(i)))
@@ -209,15 +219,14 @@ def _results(jobs: list[Callable]) -> list:
                     finally:
                         os._exit(1)
                 os.close(write_end)
-                children[pid] = open(read_end, "rb")
-        outcomes = share(0)
-        for i, pid in enumerate(list(children), 1):
-            data = children[pid].read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(pid).close()
+                children[pid] = i, open(read_end, "rb")
+        outcomes = [outcome for i in here for outcome in share(i)]
+        for pid, (i, pipe) in list(children.items()):
+            data, status = pipe.read(), os.waitpid(pid, 0)[1]
+            children.pop(pid)[1].close()
             outcomes += pickle.loads(data) if status == 0 and data else share(i)  # a dead child's share runs here
     finally:  # no child outlives the call
-        for pid, pipe in children.items():
+        for pid, (_, pipe) in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -250,9 +259,15 @@ def run(config: RunConfig) -> tuple[int, Report]:
         a, b = blocks["laws"][0] - 1, blocks["laws"][-1]  # n * n summed over 1..m is m(m+1)(2m+1)/6
         if (cost := (b * (b + 1) * (2 * b + 1) - a * (a + 1) * (2 * a + 1)) // 6) > DEFAULT_CHAIN_BUDGET:
             raise BudgetError(f"n squared over chains {a + 1}..{b} ({cost}) is over the budget of {DEFAULT_CHAIN_BUDGET}")
-    # n * grid cells times n * n labels bounds the paired base and the assignment count at the largest n
-    if "fiber" in blocks and (n := blocks["fiber"][-1]) ** 3 * fiber_grid > DEFAULT_FIBER_BUDGET:
-        raise BudgetError(f"fiber search at n={n} grid={fiber_grid} is over the budget of {DEFAULT_FIBER_BUDGET}")
+    if "fiber" in blocks:
+        # n * grid cells times n * n labels bounds the paired base and the assignment count at the largest n
+        if (n := blocks["fiber"][-1]) ** 3 * fiber_grid > DEFAULT_FIBER_BUDGET:
+            raise BudgetError(f"fiber search at n={n} grid={fiber_grid} is over the budget of {DEFAULT_FIBER_BUDGET}")
+        # the report prints that count, (n * n) ** (n * grid), in at most the digits Python prints, if limited;
+        # a count of at most 3 * limit bits is below 8 ** limit, so 10 ** limit is built only when it is small
+        count, limit = (n * n) ** (n * fiber_grid), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and count.bit_length() > 3 * limit and count >= 10**limit:
+            raise BudgetError(f"fiber count at n={n} grid={fiber_grid} is over the budget of {limit} printable digits")
     if "probe" in blocks:
         lo, hi = blocks["probe"][0], blocks["probe"][-1]
         if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
@@ -327,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = emit_report(report, config.format)
     except ValueError as exc:
-        # with a valid config, only an int too long to print: the fiber count at a huge --grid
+        # unreached from a valid config: every command reports, and the gate refuses a count too long to print
         return _refuse(f"cannot render the report: {exc}")
     if config.out is None:
         sys.stdout.write(text)

@@ -5,9 +5,9 @@ function averaged over a window), max-combined pseudometrics, the functor
 action of a point map, the pairing of two functions (``stepfn.pairing``,
 re-exported), the constant-function unit, and exact support predicates.
 Each operation checks its points against the base space and then calls a
-level-generic ``stepfn`` kernel, which ``tower`` reuses one level up; the
-integer grid the kernels work on stays inside ``stepfn``. Results are exact
-rationals.
+level-generic ``stepfn`` kernel, which ``tower`` nests one level up with the
+same (num, den) int tables, built by ``_distance_ratios`` and ``_weight_ratios``;
+the integer grid stays inside ``stepfn``. Results are exact rationals.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .core import (
     FULL_WINDOW,
-    ZERO,
     FiniteSpace,
     Frozen,
     Rat,
@@ -31,8 +30,8 @@ from .stepfn import (
     map_values,
     measure_preimage,
     pairing,  # re-exported: hmstep.hm.pairing
-    refinement_integral,
-    window_average,
+    refinement_ratio,
+    window_ratio,
 )
 
 
@@ -46,6 +45,17 @@ def _check_points(space: FiniteSpace, points: Iterable) -> set:
         if v not in space:
             raise ValueError(f"{v!r} is not a point of the given space")
     return distinct
+
+
+def _distance_ratios(space: FiniteSpace) -> Callable[[object, object], tuple[int, int]]:
+    """The base distance as exact (num, den) int pairs, each pair of points converted once."""
+    ratios: dict = {}  # a pair is never empty, so a stored one is true
+    return lambda a, b: ratios.get((a, b)) or ratios.setdefault((a, b), space.distance(a, b).as_integer_ratio())
+
+
+def _weight_ratios(phi: TestFn, points: Iterable) -> Callable[[object], tuple[int, int]]:
+    """phi on checked points as exact (num, den) int pairs, each point converted once."""
+    return {x: phi(x).as_integer_ratio() for x in points}.__getitem__
 
 
 class Functional(NamedTuple):
@@ -152,13 +162,13 @@ def d_hm(space: FiniteSpace, f: StepFn, g: StepFn) -> Rat:
     """
     _check_points(space, f.values)
     _check_points(space, g.values)
-    return refinement_integral(f, g, space.distance)
+    return Rat(*refinement_ratio(f, g, _distance_ratios(space)))
 
 
 def functional_eval(fnl: Functional, f: StepFn) -> Rat:
     """Exact mean of phi(f(t)) over the functional's window."""
-    _check_points(fnl.phi.space, f.values)
-    return window_average(f, fnl.phi, fnl.window)
+    weight = _weight_ratios(fnl.phi, _check_points(fnl.phi.space, f.values))
+    return Rat(*window_ratio(f, weight, fnl.window))
 
 
 def pseudometric_eval(rho: Pseudometric, f: StepFn, g: StepFn) -> Rat:
@@ -198,9 +208,9 @@ def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
     targets = _check_points(space, b_set)
     if not targets:
         raise ValueError("the candidate support set must be nonempty")
-    _check_points(space, f.values)
+    points = _check_points(space, f.values)
     return all(
-        window_average(f, TestFn.indicator(space, y), FULL_WINDOW) == ZERO
+        window_ratio(f, _weight_ratios(TestFn.indicator(space, y), points), FULL_WINDOW)[0] == 0
         for y in space.labels
         if y not in targets
     )
@@ -213,9 +223,8 @@ def support_membership_check(space: FiniteSpace, f: StepFn, x: object) -> bool:
     pointwise). x and f are checked here, once, for both kernels. Agrees
     exactly with ``x in support(f)``."""
     _check_points(space, (x,))
-    _check_points(space, f.values)
+    points = _check_points(space, f.values)
     witness = measure_preimage(f, {x}, FULL_WINDOW)
-    if witness == ZERO:
+    if not witness:
         return False
-    ind = TestFn.indicator(space, x)
-    return window_average(f, ind, FULL_WINDOW) >= witness
+    return Rat(*window_ratio(f, _weight_ratios(TestFn.indicator(space, x), points), FULL_WINDOW)) >= witness

@@ -9,18 +9,19 @@ adjacent values distinct), and canonical forms are what every equality in
 this toolkit compares. ``hm`` and ``tower`` validate, then call the kernels
 every level shares: ``pairing``, the flatten ``diagonal`` and, taking the
 level's part as a callable, ``map_values``, ``refinement_ratio`` and
-``window_ratio`` (``refinement_integral`` and ``window_average`` wrap them).
+``window_ratio``.
 
 The partition is stored on one integer grid: ``den`` is the least common
 denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
 compare and measure in ints. Only this module reads the grid; ``laws.bump_fn``
 alone builds on it, through ``_canonical``. ``Rat`` appears only at the
 edges: the ``breakpoints`` view, the public constructor and parser, window
-ends, the cells of :func:`common_refinement`, a level-1 caller's weights, and
-one result per public call, not per kernel call: the pair kernels sum exact
-(num, den) int weights over their running lcm and return an unreduced pair.
-They sum in one pass as they walk the ticks and build no cells; the one other
-pair walk builds ``pairing``, whose pieces are ``common_refinement``'s cells.
+ends, the cells of :func:`common_refinement` and :func:`measure_preimage`'s
+result. One calling convention: the pair kernels' callables return exact
+(num, den) int pairs, and so do they, unreduced over their running lcm, so a
+level-2 caller nests them and its public call builds one ``Rat``. They sum in
+one pass as they walk the ticks and build no cells; the one other pair walk
+builds ``pairing``, whose pieces are ``common_refinement``'s cells.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor
 coerces and checks every partition, and :func:`from_segments` and
@@ -269,11 +270,6 @@ def refinement_ratio(f: StepFn, g: StepFn, dist: Callable[[object, object], tupl
     return num, q * den
 
 
-def refinement_integral(f: StepFn, g: StepFn, dist: Callable[[object, object], Rat]) -> Rat:
-    """Integral of dist(f(t), g(t)) over [0, 1); dist sees only unequal values."""
-    return Rat(*refinement_ratio(f, g, lambda a, b: dist(a, b).as_integer_ratio()))
-
-
 def _meeting(ticks: tuple[int, ...], s: int, lo: int, hi: int) -> range:
     """Indices of the pieces meeting [lo, hi) on a grid s times finer than ticks:
     the last start <= floor(lo / s) up to the last start < ceil(hi / s)."""
@@ -306,11 +302,6 @@ def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window:
                 q = m
             num += length * wn * (q // wd)
     return num, q * (hi - lo)
-
-
-def window_average(f: StepFn, weight: Callable[[object], Rat], window: Window) -> Rat:
-    """Exact mean of weight(f(t)) over the window; weight sees only pieces meeting it."""
-    return Rat(*window_ratio(f, lambda v: weight(v).as_integer_ratio(), window))
 
 
 def diagonal(F: StepFn) -> StepFn:

@@ -8,20 +8,20 @@ the level-2 integral metric, iterated window-average coordinates, and
 flatten candidates (multiplication proposals) with their level-3 lifts.
 Each operation checks its nesting (the metric and coordinates also every
 inner point, once, up front), then calls a ``stepfn`` kernel with a level-1
-operation as its callable: ``hm_map``, or for the metric and coordinates the
-level-1 pair kernel, whose exact (num, den) int pairs the outer kernel sums
-before the call's one ``Rat``. The diagonal flatten is ``stepfn.diagonal``.
+operation as its callable: ``hm_map``, or the pair kernel of ``d_hm`` or
+``functional_eval`` on the same ``hm`` tables, whose (num, den) int pairs the
+outer kernel sums before the call's one ``Rat``. The flatten is ``stepfn.diagonal``.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 from typing import Callable
 
 from .core import FiniteSpace, Frozen, Rat, TestFn, Window, ZERO
-from .hm import SpaceMap, _check_points, hm_map
+from .hm import SpaceMap, _check_points, _distance_ratios, _weight_ratios, hm_map
 from .stepfn import (
     StepFn,
     as_rng,
@@ -82,8 +82,7 @@ def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
     """Integral over the outer variable of d_hm between inner functions."""
     _check_nested(F, space)
     _check_nested(G, space)
-    dist = cache(lambda a, b: space.distance(a, b).as_integer_ratio())
-    return Rat(*refinement_ratio(F, G, partial(refinement_ratio, dist=dist)))
+    return Rat(*refinement_ratio(F, G, partial(refinement_ratio, dist=_distance_ratios(space))))
 
 
 def iterated_functional_eval(
@@ -94,8 +93,8 @@ def iterated_functional_eval(
     This is the level-2 coordinate obtained by averaging the level-1
     coordinate (phi over ``inner``) of F(s) for s in ``outer``.
     """
-    weights = {x: phi(x).as_integer_ratio() for x in _check_nested(F, phi.space)}
-    return Rat(*window_ratio(F, partial(window_ratio, weight=weights.__getitem__, window=inner), outer))
+    weight = _weight_ratios(phi, _check_nested(F, phi.space))
+    return Rat(*window_ratio(F, partial(window_ratio, weight=weight, window=inner), outer))
 
 
 class MuCandidate(Frozen):

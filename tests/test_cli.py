@@ -389,8 +389,20 @@ class TestChainBudget:
         assert [s.law for s in report.suites[3:]] == [f"chain-stub-{n}-{20 + n}" for n in range(lo, hi + 1)]
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4300 digits on printing an int, whatever the environment set."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python prints ints of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
 class TestFiberBudget:
-    """n cubed times grid at the largest n of ``fiber`` is refused over ``DEFAULT_FIBER_BUDGET`` before any work."""
+    """n cubed times grid at the largest n of ``fiber`` is refused over ``DEFAULT_FIBER_BUDGET`` before any work,
+    and so is a count (n * n) ** (n * grid) that the report could not print."""
 
     @pytest.mark.parametrize("n, grid", ((100, 1), (1, 1_000_000), (79, 2)))
     def test_budget_edge_is_admitted(self, capsys, n, grid):
@@ -403,6 +415,32 @@ class TestFiberBudget:
         assert n**3 * grid > DEFAULT_FIBER_BUDGET
         with pytest.raises(hmstep.BudgetError, match=f"n={n} grid={grid} is over the budget of {DEFAULT_FIBER_BUDGET}"):
             run(parse_config(["fiber", "--n-range", f"1:{n}", "--grid", str(grid)]))
+
+    def test_a_count_of_4300_digits_is_admitted(self, capsys, default_digit_limit):
+        assert len(str(4 ** (2 * 3571))) == 4300
+        assert main("fiber --n-range 1:2 --grid 3571 --format json".split()) == 0
+        assert json.loads(capsys.readouterr().out)["suites"][1]["samples"] == 4 ** (2 * 3571)
+
+    @pytest.mark.parametrize("n_range, grid, fmt", (
+        ("1:2", 3572, "text"),
+        ("1:2", 3600, "json"),
+        ("2:2", 10_000, "text"),
+        ("1:10", 1000, "text"),
+    ))
+    def test_a_count_too_long_to_print_is_refused_before_any_job(
+        self, monkeypatch, capsys, default_digit_limit, n_range, grid, fmt
+    ):
+        def never(*args):
+            raise AssertionError("work started before the budget gate refused")
+
+        monkeypatch.setattr(cli, "_results", never)
+        monkeypatch.setattr(cli, "fiber_uniqueness", never)
+        n = int(n_range.split(":")[1])
+        assert n**3 * grid <= DEFAULT_FIBER_BUDGET and (n * n) ** (n * grid) >= 10**4300
+        assert main(["fiber", "--n-range", n_range, "--grid", str(grid), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hmstep: fiber count at n={n} grid={grid} is over the budget of 4300 printable digits\n"
 
 
 @pytest.mark.parametrize("argv", (

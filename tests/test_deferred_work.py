@@ -8,6 +8,9 @@
 * A ``Window`` derives its ends' int ratios once: the iterated coordinate
   calls ``Fraction.as_integer_ratio`` once per inner point, for the weights,
   however many outer pieces share the inner window.
+* The level-1 metric and coordinate build their int tables the same way:
+  ``d_hm`` converts each distinct pair of unequal values once and
+  ``functional_eval`` each distinct point once, however many pieces repeat it.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import pytest
 
 from hmstep import laws
 from hmstep.core import FULL_WINDOW, TestFn, Window, make_discrete_space
-from hmstep.hm import hm_map, unit
-from hmstep.laws import build_witnesses, forced_value_chain, nested_bumps_fn
-from hmstep.stepfn import StepFn, constant, evaluate, format_stepfn
+from hmstep.hm import Functional, d_hm, functional_eval, hm_map, pairing, unit
+from hmstep.laws import build_witnesses, fixed_rational_space, forced_value_chain, nested_bumps_fn
+from hmstep.stepfn import StepFn, blocks, constant, evaluate, format_stepfn
 from hmstep.tower import (
     CONSTANT_LEFT,
     DIAGONAL,
@@ -124,3 +127,26 @@ def test_iterated_coordinate_derives_window_ratios_once(monkeypatch):
         assert iterated_functional_eval(ident, FULL_WINDOW, FULL_WINDOW, F) == want_full
         assert len(calls) == 2
     assert inner.ratios == ((1, 7), (5, 6)) and outer.ratios == ((1, 97), (1, 1))
+
+
+def test_level1_metric_and_coordinate_derive_ratios_once_per_pair_or_point(monkeypatch):
+    table = fixed_rational_space()
+    f, g = blocks((1, 2, 3) * 20), blocks((2, 1, 1, 4) * 15)
+    phi = TestFn(table, (Fraction(-1, 3), Fraction(2, 5), 7, Fraction(5, 6)))
+    coordinates = [Functional(phi, w) for w in (FULL_WINDOW, Window(Fraction(1, 7), Fraction(5, 6)))]
+    pairs = {(a, b) for a, b in pairing(f, g).values if a != b}
+    distance, means = d_hm(table, f, g), [functional_eval(c, f) for c in coordinates]
+    calls = []
+    ratio = Fraction.as_integer_ratio
+
+    def counting(self):
+        calls.append(self)
+        return ratio(self)
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counting)
+    assert d_hm(table, f, g) == distance
+    assert len(calls) == len(pairs) == 7  # of the 45 unequal overlaps
+    for coordinate, mean in zip(coordinates, means):
+        calls.clear()
+        assert functional_eval(coordinate, f) == mean
+        assert len(calls) == 3  # of 60 pieces

@@ -9,6 +9,9 @@ Checked here:
   (for ``bump_fn``, a producer on the 1/n grid); inside ``stepfn`` only
   ``_canonical``, ``canonicalize`` and ``constant`` call ``_trusted``, so
   every other producer builds through the one merge scan;
+* ``tower`` calls no ``as_integer_ratio`` and uses no ``functools`` cache, so
+  every (num, den) table at level 2 comes from the ``hm`` builders that the
+  level-1 metric and coordinate use too;
 * the support criterion, which decides on the full window, against the
   all-spans definition it replaced: every indicator of a point outside the
   set averages to zero over every window spanned by the canonical
@@ -84,6 +87,16 @@ def test_stepfn_builds_trusted_only_through_the_merge_scan_and_constant():
     callers = {name: count for name, count in callers.items() if count}
     assert set(callers) == {"_canonical", "canonicalize", "constant"}
     assert sum(callers.values()) == _calls(tree, "_trusted"), "_trusted is called outside any function"
+
+
+def test_tower_takes_every_table_from_hm():
+    tree = _tree("tower")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name for alias in node.names}
+            assert not names & {"cache", "lru_cache"}, f"tower imports {sorted(names & {'cache', 'lru_cache'})}"
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in ("as_integer_ratio", "cache", "lru_cache"), f"tower reads .{node.attr}"
 
 
 def test_pairing_is_reexported():

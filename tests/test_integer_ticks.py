@@ -14,9 +14,10 @@ view built from them. Checked here:
   midpoint of every gap, read by a linear scan over the ``Fraction`` view;
   ``pairing``'s walk hands the merge scan one piece per breakpoint of its
   canonical inputs, so a shared breakpoint advances both pointers at once;
-* the kernels: window averages, preimage measures and refinement integrals
-  with window ends off the step function's grid (such as (1/7, 3/11)), and a
-  table metric, against midpoint oracles in ``Fraction`` arithmetic.
+* the kernels, through their level-1 callers: ``functional_eval`` (window
+  averages), preimage measures and ``d_hm`` (refinement integrals), with
+  window ends off the step function's grid (such as (1/7, 3/11)) and a table
+  metric, against midpoint oracles in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 
 from hmstep import stepfn
 from hmstep.core import TestFn, Window, make_discrete_space
-from hmstep.hm import pairing
+from hmstep.hm import Functional, d_hm, functional_eval, pairing
 from hmstep.laws import bump_fn, fixed_rational_space
 from hmstep.stepfn import (
     StepFn,
@@ -39,8 +40,6 @@ from hmstep.stepfn import (
     canonicalize,
     map_values,
     measure_preimage,
-    refinement_integral,
-    window_average,
 )
 from hmstep.tower import REMAP_LAST, diagonal_flatten
 
@@ -229,8 +228,8 @@ phi = TestFn(TABLE, (Fraction(-1, 3), Fraction(2, 5), Fraction(7), Fraction(5, 6
 
 
 @given(raw_stepfns(values=table_points), windows)
-def test_window_average(f, window):
-    assert window_average(f, phi, window) == oracle_functional(phi, window, f)
+def test_functional_eval(f, window):
+    assert functional_eval(Functional(phi, window), f) == oracle_functional(phi, window, f)
 
 
 @given(raw_stepfns(values=table_points), windows, st.sets(table_points))
@@ -239,11 +238,11 @@ def test_measure_preimage(f, window, targets):
 
 
 @given(raw_stepfns(values=table_points), raw_stepfns(values=table_points))
-def test_refinement_integral_with_a_table_metric(f, g):
-    assert refinement_integral(f, g, TABLE.distance) == oracle_d_hm(TABLE, f, g)
+def test_d_hm_with_a_table_metric(f, g):
+    assert d_hm(TABLE, f, g) == oracle_d_hm(TABLE, f, g)
 
 
 @given(raw_stepfns(values=st.sampled_from((0, 1))), raw_stepfns(values=st.sampled_from((0, 1))))
-def test_refinement_integral_with_the_discrete_metric(f, g):
+def test_d_hm_with_the_discrete_metric(f, g):
     two = make_discrete_space(2, labels=(0, 1))
-    assert refinement_integral(f, g, two.distance) == oracle_d_hm(two, f, g)
+    assert d_hm(two, f, g) == oracle_d_hm(two, f, g)

@@ -5,12 +5,14 @@ tests force the CPU count through ``cli._cpus``, so the fork path runs with
 two and three workers on any host that can fork, and compare it with one
 worker: the same report bytes, the same exit code and the same stderr line,
 including when a job raises, when a child dies before it hands back its
-outcomes and when those outcomes cannot be pickled. After each command no
-child process is left, and nothing forks while another thread runs.
+outcomes, when those outcomes cannot be pickled and when a fork fails. After
+each command no child process is left, and nothing forks while another
+thread runs.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import signal
@@ -132,6 +134,26 @@ def test_outcomes_that_cannot_be_pickled_are_recomputed_here(monkeypatch, capsys
 
     monkeypatch.setattr(cli, "check_monotonicity", lambda *args, **kwargs: Local(*real(*args, **kwargs)))
     assert _main(monkeypatch, capsys, 2, command) == serial
+
+
+@pytest.mark.parametrize("workers, failing", ((2, 1), (3, 1), (3, 2)))
+def test_a_share_whose_fork_fails_runs_here(monkeypatch, capsys, workers, failing):
+    command = "lemmas --samples 5 --format json"
+    serial = _main(monkeypatch, capsys, 1, command)
+    real, forks = os.fork, []
+
+    def refused_once():
+        forks.append(None)
+        if len(forks) == failing:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return real()
+
+    monkeypatch.setattr(os, "fork", refused_once)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    assert _main(monkeypatch, capsys, workers, command) == serial
+    assert len(forks) == workers - 1
+    if fds is not None:  # both ends of the failed fork's pipe are closed
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
 
 
 def test_no_fork_while_another_thread_runs():
