@@ -36,11 +36,17 @@ from .stepfn import (
 
 
 def _check_points(space: FiniteSpace, points: Iterable) -> set:
-    """The distinct points, each checked against the space."""
+    """The distinct points, each checked against the space: pairs on a structural
+    product by column against the factors' indexes, else (or on a miss) one by one."""
     try:
         distinct = set(points)
     except TypeError as exc:  # no space holds an unhashable value
         raise ValueError(f"an unhashable value ({exc}) is not a point of the given space") from None
+    x, y = getattr(space, "factors", (None, None))
+    if x is not None and set(map(type, distinct)) == {tuple} and set(map(len, distinct)) == {2}:
+        firsts, seconds = set(map(itemgetter(0), distinct)), set(map(itemgetter(1), distinct))
+        if all(map(x._index.__contains__, firsts)) and all(map(y._index.__contains__, seconds)):
+            return distinct
     for v in distinct:
         if v not in space:
             raise ValueError(f"{v!r} is not a point of the given space")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterator
-from itertools import count
+from itertools import count, repeat
 from typing import NamedTuple
 
 from .core import (
@@ -50,7 +50,7 @@ from .hm import (
 )
 from .stepfn import (
     StepFn,
-    _canonical,
+    _trusted,
     as_rng,
     blocks,
     canonicalize,
@@ -198,10 +198,12 @@ def staircase_fn(n: int) -> StepFn:
 
 
 def bump_fn(i: int, n: int) -> StepFn:
-    """Two-point indicator of the i-th block: 1 on [(i-1)/n, i/n), else 0."""
+    """Two-point indicator of the i-th block: 1 on [(i-1)/n, i/n), else 0. Its
+    partition (0, i-1, i, n) is canonical once an empty end piece is dropped."""
     if not 1 <= i <= n:
         raise ValueError(f"block index {i} is outside 1..{n}")
-    return _canonical(n, ((i - 1, 0), (i, 1), (n, 0)))
+    lo, hi = (i == 1), 3 - (i == n)
+    return _trusted(n, (0, i - 1, i, n)[lo : hi + 1], (0, 1, 0)[lo:hi])
 
 
 def nested_bumps_fn(n: int) -> StepFn2:
@@ -222,7 +224,7 @@ def build_witnesses(n: int) -> Witnesses:
     equality_collapse = _RuleMap(pairs, two_point, lambda p: 1 if p[0] == p[1] else 0)
     staircase = staircase_fn(n)
     diagonal_staircase = blocks((i, i) for i in range(1, n + 1))
-    nested_rows = blocks(blocks((i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
+    nested_rows = blocks(blocks(zip(repeat(i, n), range(1, n + 1))) for i in range(1, n + 1))
     nested_bumps = nested_bumps_fn(n)
     if any(hm_map(proj, diagonal_staircase) != staircase for proj in (left_proj, right_proj)):
         raise RuntimeError("witness identity broken: projections of the diagonal staircase")

@@ -14,7 +14,7 @@ level's part as a callable, ``map_values``, ``refinement_ratio`` and
 The partition is stored on one integer grid: ``den`` is the least common
 denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
 compare and measure in ints. Only this module reads the grid; ``laws.bump_fn``
-alone builds on it, through ``_canonical``. ``Rat`` appears only at the
+alone builds on it, through ``_trusted``. ``Rat`` appears only at the
 edges: the ``breakpoints`` view, the public constructor and parser, window
 ends, the cells of :func:`common_refinement` and :func:`measure_preimage`'s
 result. One calling convention: the pair kernels' callables return exact
@@ -28,7 +28,8 @@ coerces and checks every partition, and :func:`from_segments` and
 :func:`parse_stepfn` check only what it cannot see. Internal producers
 (``blocks``, ``map_values``, ``canonicalize``, ``pairing``, ``diagonal``)
 derive their partitions from checked inputs, so they run the one merge scan
-and build their canonical result once; ``constant``'s partition is fixed.
+and build their canonical result once; ``constant``'s partition is fixed, and
+``blocks`` of distinct neighbours skips the scan, as n blocks are canonical.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from math import gcd, lcm
+from operator import ne
 from typing import NamedTuple
 
 from .core import FULL_WINDOW, ONE, ZERO, FiniteSpace, Frozen, Rat, Window, as_rat
@@ -336,6 +338,8 @@ def blocks(values: Iterable) -> StepFn:
     values = tuple(values)
     if not values:
         raise ValueError("need at least one block value")
+    if all(map(ne, values, values[1:])):
+        return _trusted(len(values), tuple(range(len(values) + 1)), values)
     return _canonical(len(values), enumerate(values, 1))
 
 

@@ -82,7 +82,8 @@ def d_hm2(space: FiniteSpace, F: StepFn2, G: StepFn2) -> Rat:
     """Integral over the outer variable of d_hm between inner functions."""
     _check_nested(F, space)
     _check_nested(G, space)
-    return Rat(*refinement_ratio(F, G, partial(refinement_ratio, dist=_distance_ratios(space))))
+    dist = _distance_ratios(space)
+    return Rat(*refinement_ratio(F, G, lambda f, g: refinement_ratio(f, g, dist)))
 
 
 def iterated_functional_eval(
@@ -94,7 +95,7 @@ def iterated_functional_eval(
     coordinate (phi over ``inner``) of F(s) for s in ``outer``.
     """
     weight = _weight_ratios(phi, _check_nested(F, phi.space))
-    return Rat(*window_ratio(F, partial(window_ratio, weight=weight, window=inner), outer))
+    return Rat(*window_ratio(F, lambda f: window_ratio(f, weight, inner), outer))
 
 
 class MuCandidate(Frozen):

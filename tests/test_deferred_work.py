@@ -11,17 +11,25 @@
 * The level-1 metric and coordinate build their int tables the same way:
   ``d_hm`` converts each distinct pair of unequal values once and
   ``functional_eval`` each distinct point once, however many pieces repeat it.
+* The witness towers skip the merge scan: ``nested_bumps_fn`` runs no
+  ``_merged``, and checking the n² pairs of the nested rows against the
+  product makes no ``FiniteSpace.__contains__`` call.
+* ``tower`` nests the pair kernels through closures: no ``partial`` with
+  keyword arguments, which would build a kwargs dict on every inner call.
 """
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
-from hmstep import laws
-from hmstep.core import FULL_WINDOW, TestFn, Window, make_discrete_space
-from hmstep.hm import Functional, d_hm, functional_eval, hm_map, pairing, unit
+from hmstep import laws, stepfn, tower
+from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space
+from hmstep.hm import Functional, _check_points, d_hm, functional_eval, hm_map, pairing, unit
 from hmstep.laws import build_witnesses, fixed_rational_space, forced_value_chain, nested_bumps_fn
 from hmstep.stepfn import StepFn, blocks, constant, evaluate, format_stepfn
 from hmstep.tower import (
@@ -150,3 +158,48 @@ def test_level1_metric_and_coordinate_derive_ratios_once_per_pair_or_point(monke
         calls.clear()
         assert functional_eval(coordinate, f) == mean
         assert len(calls) == 3  # of 60 pieces
+
+
+def test_bump_tower_runs_no_merge_scan(monkeypatch):
+    towers = {n: nested_bumps_fn(n) for n in (1, 2, 7, 64)}
+    scans = []
+    merged = stepfn._merged
+
+    def counting(pieces):
+        scans.append(pieces)
+        return merged(pieces)
+
+    monkeypatch.setattr(stepfn, "_merged", counting)
+    for n, F in towers.items():
+        assert nested_bumps_fn(n) == F
+    assert scans == []
+
+
+@pytest.mark.parametrize("n", (1, 3, 32))
+def test_pair_membership_makes_no_per_point_call(monkeypatch, n):
+    w = build_witnesses(n)
+    pairs = list(chain.from_iterable(row.values for row in w.nested_rows.values))
+    expected = _check_points(w.pairs, pairs)
+    calls = []
+    contains = FiniteSpace.__contains__
+
+    def counting(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(FiniteSpace, "__contains__", counting)
+    assert _check_points(w.pairs, pairs) == expected and len(expected) == n * n
+    assert calls == []
+    with pytest.raises(ValueError, match=r"\(1, 0\) is not a point"):
+        _check_points(w.pairs, pairs + [(1, 0)])
+    assert calls  # a foreign pair falls back to the per-point loop
+
+
+def test_tower_nests_no_keyword_partial():
+    tree = ast.parse(Path(tower.__file__).read_text())
+    keyword_partials = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "partial" and node.keywords
+    ]
+    assert keyword_partials == []

@@ -5,10 +5,14 @@ Checked here:
 * the module structure, read from the source with ``ast``: ``hm`` and
   ``tower`` import no ``_``-prefixed name from ``stepfn``, neither ``lcm``
   nor ``gcd``, nothing from ``bisect``, and read no ``ticks`` or ``den``
-  attribute; the one private ``stepfn`` import in ``laws`` is ``_canonical``
-  (for ``bump_fn``, a producer on the 1/n grid); inside ``stepfn`` only
-  ``_canonical``, ``canonicalize`` and ``constant`` call ``_trusted``, so
-  every other producer builds through the one merge scan;
+  attribute; the one private ``stepfn`` import in ``laws`` is ``_trusted``
+  (for ``bump_fn``, whose partition on the 1/n grid is known canonical);
+  inside ``stepfn`` only ``_canonical``, ``canonicalize``, ``constant`` and
+  ``blocks`` (for distinct neighbours) call ``_trusted``, so every other
+  producer builds through the one merge scan;
+* behaviourally, whatever builds without the merge scan: every producer's
+  output, on raw inputs with zero-length and mergeable pieces, is a fixed
+  point of ``canonicalize``;
 * ``tower`` calls no ``as_integer_ratio`` and uses no ``functools`` cache, so
   every (num, den) table at level 2 comes from the ``hm`` builders that the
   level-1 metric and coordinate use too;
@@ -34,8 +38,8 @@ from hypothesis import strategies as st
 import hmstep
 from hmstep.core import TestFn, Window
 from hmstep.hm import support, support_criterion_check
-from hmstep.laws import default_spaces
-from hmstep.stepfn import StepFn, canonicalize
+from hmstep.laws import bump_fn, default_spaces, nested_bumps_fn, staircase_fn
+from hmstep.stepfn import StepFn, blocks, canonicalize, constant, diagonal, from_segments, map_values, pairing
 
 from conftest import oracle_functional
 
@@ -74,7 +78,7 @@ def test_callers_do_not_touch_the_grid(module):
 
 def test_laws_builds_on_the_grid_only_for_bumps():
     private = {name for name in _stepfn_imports(_tree("laws")) if name.startswith("_")}
-    assert private == {"_canonical"}
+    assert private == {"_trusted"}
 
 
 def _calls(node: ast.AST, name: str) -> int:
@@ -85,7 +89,7 @@ def test_stepfn_builds_trusted_only_through_the_merge_scan_and_constant():
     tree = _tree("stepfn")
     callers = {fn.name: _calls(fn, "_trusted") for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
     callers = {name: count for name, count in callers.items() if count}
-    assert set(callers) == {"_canonical", "canonicalize", "constant"}
+    assert set(callers) == {"_canonical", "canonicalize", "constant", "blocks"}
     assert sum(callers.values()) == _calls(tree, "_trusted"), "_trusted is called outside any function"
 
 
@@ -144,3 +148,33 @@ def test_support_criterion_agrees_with_all_spans_and_support(case):
     space, f, b_set = case
     got = support_criterion_check(space, f, b_set)
     assert got == all_spans_criterion(f, b_set, space) == (support(f) <= b_set)
+
+
+@st.composite
+def raw_stepfns(draw):
+    """A step function over {1, 2, 3} with breakpoints on small grids, some repeated."""
+    inner = draw(st.lists(fractions_to_12, max_size=5))
+    inner += draw(st.lists(st.sampled_from(inner), max_size=2)) if inner else []
+    bps = (Fraction(0), *sorted(inner), Fraction(1))
+    return StepFn(bps, draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(bps) - 1, max_size=len(bps) - 1)))
+
+
+@given(raw_stepfns(), raw_stepfns(), st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=8), st.data())
+def test_every_producer_returns_a_fixed_point_of_canonicalize(f, g, values, data):
+    n = len(values)
+    i = data.draw(st.integers(1, n))
+    produced = {
+        "blocks": blocks(values),
+        "blocks of step functions": blocks(f if v == 1 else g for v in values),
+        "map_values": map_values(f, lambda v: v // 2),
+        "canonicalize": canonicalize(f),
+        "constant": constant(values[0]),
+        "from_segments": from_segments(f.segments()),
+        "pairing": pairing(f, g),
+        "diagonal": diagonal(blocks((f, g, f))),
+        "bump_fn": bump_fn(i, n),
+        "nested_bumps_fn": nested_bumps_fn(n),
+        "staircase_fn": staircase_fn(n),
+    }
+    for name, x in produced.items():
+        assert canonicalize(x) is x, name
