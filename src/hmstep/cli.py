@@ -2,8 +2,8 @@
 
 Checks all four budgets (samples, forced chains, fiber, probe rows) in one
 gate, then runs the coordinate/support suites, the monad-law suites for a
-chosen candidate, the fiber decisions and the discontinuity probe as jobs in
-forked workers, one per CPU. Renders one deterministic report
+chosen candidate, the fiber decisions and the discontinuity probe's runs of
+rows as jobs in forked workers, one per CPU. Renders one deterministic report
 (JSON, CSV for probe rows, or text), byte-identical for identical config and
 seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error,
 3 over budget, out of memory, or the report cannot be rendered or written.
@@ -180,6 +180,17 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _runs(lo: int, hi: int, width: int) -> list[range]:
+    """Rows lo..hi cut into min(width, rows) contiguous runs of about equal n summed, the probe budget's cost.
+    A run ends at the first row whose running sum reaches its share, or where each row left must start a run."""
+    width, total, cuts, seen = min(width, hi - lo + 1), (lo + hi) * (hi - lo + 1) // 2, [lo], 0
+    for n in range(lo, hi):
+        seen += n
+        if seen * width >= len(cuts) * total or hi - n <= width - len(cuts):
+            cuts.append(n + 1)
+    return [range(a, b) for a, b in zip(cuts, [*cuts[1:], hi + 1])]
+
+
 def _results(jobs: list[Callable]) -> list:
     """Each job's value in job order, or the exception a serial run raises first. Of w = min(CPUs, jobs)
     workers, forked child i runs ``jobs[i::w]`` and pipes back its pickled outcomes; this process runs the rest,
@@ -241,8 +252,9 @@ def run(config: RunConfig) -> tuple[int, Report]:
 
     A command runs its own block over --n-range, and ``all`` runs every block at fixed ranges: the lemmas,
     laws 1..4, fiber 1..3 at grid 2 and probe 1..16. The budgets and the jobs are both read from that one set
-    of blocks, and every budget is checked before any job. May raise :class:`BudgetError` or ``MemoryError``;
-    ``main`` maps both to exit code 3.
+    of blocks, and every budget is checked before any job. The probe's rows are cut into one run per CPU of about
+    equal n summed, and their rows are joined in order. May raise :class:`BudgetError` or ``MemoryError``; ``main``
+    maps both to exit code 3.
     """
     blocks = {config.command: range(config.n_range[0], config.n_range[1] + 1)}
     fiber_grid = config.grid or 2
@@ -277,11 +289,10 @@ def run(config: RunConfig) -> tuple[int, Report]:
         jobs += _law_block(config.candidate, config.samples, config.seed, blocks["laws"])
     if "fiber" in blocks:
         jobs += [lambda n=n: fiber_uniqueness(n, fiber_grid).to_report() for n in blocks["fiber"]]
-    if "probe" in blocks:
-        jobs.append(partial(discontinuity_probe, CANDIDATES[config.candidate], hi, lo))
-    suites = _results(jobs)
-    probe_rows = suites.pop() if "probe" in blocks else []
-    report = Report(__version__, config.echo(), tuple(suites), tuple(probe_rows))
+    mu, runs = CANDIDATES[config.candidate], (_runs(lo, hi, _cpus()) if "probe" in blocks else [])
+    suites = _results([*jobs, *(partial(discontinuity_probe, mu, run[-1], run[0]) for run in runs)])
+    probe_rows = [row for rows in suites[len(jobs):] for row in rows]
+    report = Report(__version__, config.echo(), tuple(suites[: len(jobs)]), tuple(probe_rows))
     return (0 if report.passed else 1), report
 
 

@@ -228,6 +228,21 @@ def test_12_probe_budget_edge():
     )
 
 
+def test_12_probe_budget_edge_command():
+    # the command cuts 1..512 into one run of rows per CPU; the serial probe above is its oracle
+    start = time.perf_counter()
+    code, report = run(parse_config(["probe", "--n-range", "1:512"]))
+    elapsed = time.perf_counter() - start
+    ok = code == 0 and list(report.probe) == discontinuity_probe(DIAGONAL, 512)
+    _finish(
+        "probe-budget-edge-command",
+        ok,
+        elapsed,
+        5.0,
+        "probe --n-range 1:512 over the workers gives the serial rows",
+    )
+
+
 CHAIN_MEMORY_CHILD = """
 import resource, sys
 from hmstep.laws import forced_value_chain

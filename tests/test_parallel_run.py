@@ -5,9 +5,10 @@ tests force the CPU count through ``cli._cpus``, so the fork path runs with
 two and three workers on any host that can fork, and compare it with one
 worker: the same report bytes, the same exit code and the same stderr line,
 including when a job raises, when a child dies before it hands back its
-outcomes, when those outcomes cannot be pickled and when a fork fails. After
-each command no child process is left, and nothing forks while another
-thread runs.
+outcomes, when those outcomes cannot be pickled and when a fork fails. The
+probe's rows are cut into contiguous runs of about equal n summed, one job
+each, also when there are fewer rows than workers. After each command no
+child process is left, and nothing forks while another thread runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
+import random
 import signal
 import threading
 
@@ -37,6 +39,9 @@ COMMANDS = (
     "laws --n-range 1:6 --format json",
     "fiber --n-range 1:5 --format json",
     "probe --n-range 1:20 --format csv",
+    "probe --n-range 7:7",
+    "probe --n-range 5:6",
+    "probe --n-range 40:120 --format text",
 )
 
 
@@ -58,6 +63,32 @@ def test_reports_are_byte_identical_for_one_two_and_three_workers(monkeypatch, c
         assert hashlib.sha256(serial[1].encode()).hexdigest() == GOLDEN[command]
     for workers in (2, 3):
         assert _main(monkeypatch, capsys, workers, command) == serial, workers
+
+
+def test_the_probe_cut_is_contiguous_and_balanced():
+    rng = random.Random(20)
+    for _ in range(3000):
+        lo = rng.randint(1, 400)
+        hi, width = lo + rng.choice((0, 1, 2, 3, 7, 40, 400)), rng.randint(1, 9)
+        runs, total = cli._runs(lo, hi, width), sum(range(lo, hi + 1))
+        assert [n for run in runs for n in run] == list(range(lo, hi + 1)), (lo, hi, width)
+        assert all(runs) and len(runs) == min(width, hi - lo + 1), (lo, hi, width)
+        # each run's n summed lies within hi of the equal share total / width
+        assert all(abs(sum(run) * width - total) <= hi * width for run in runs), (lo, hi, width)
+
+
+def test_memory_error_in_the_second_probe_run_exits_three(monkeypatch, capsys):
+    real, exhausted_at = cli.discontinuity_probe, 24
+    assert all(exhausted_at in cli._runs(1, 30, width)[1] for width in (2, 3))
+
+    def probe(mu, n_max, n_min=1):
+        if n_min <= exhausted_at <= n_max:
+            raise MemoryError
+        return real(mu, n_max, n_min)
+
+    monkeypatch.setattr(cli, "discontinuity_probe", probe)
+    for workers in (1, 2, 3):
+        assert _main(monkeypatch, capsys, workers, "probe --n-range 1:30") == (3, "", "hmstep: out of memory\n"), workers
 
 
 def _raising(exc: BaseException):
