@@ -27,13 +27,11 @@ from .stepfn import (
 )
 from .hm import (
     Functional,
-    Pseudometric,
     SpaceMap,
     d_hm,
     functional_eval,
     hm_map,
     pairing,
-    pseudometric_eval,
     product_projections,
     support,
     support_criterion_check,

@@ -86,12 +86,12 @@ class FiniteSpace(Frozen):
 
     ``labels`` are hashable point names (ints for discrete spaces, pairs for
     products); ``dist`` is ``None`` for the discrete metric, else the full
-    distance table aligned with ``labels``, checked at construction for the
-    pairwise axioms (zero diagonal, symmetry, positivity off the diagonal,
-    bound 1). The triangle inequality is checked exhaustively by
-    :func:`validate_metric`; the discrete and product constructors below
-    satisfy it structurally. Equality compares labels, in order, and tables:
-    an explicit 0/1 table is not the table-free discrete space, while a
+    distance table aligned with ``labels``. Every metric axiom of a table is
+    checked at construction: the pairwise ones (zero diagonal, symmetry,
+    positivity off the diagonal, bound 1), then the triangle inequality by
+    :func:`validate_metric`. A product skips these checks, as it satisfies
+    them structurally. Equality compares labels, in order, and tables: an
+    explicit 0/1 table is not the table-free discrete space, while a
     structural product equals the table-free space listing its labels.
     """
 
@@ -126,6 +126,8 @@ class FiniteSpace(Frozen):
                     if d > ONE:
                         raise ValueError("distances must be bounded by 1")
         self._set(labels=labels, dist=dist, _index={lab: i for i, lab in enumerate(labels)})
+        if dist is not None:
+            validate_metric(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSpace):
@@ -160,16 +162,17 @@ class FiniteSpace(Frozen):
 def validate_metric(space: FiniteSpace) -> None:
     """Exhaustively check the triangle inequality over all point triples.
 
-    The pairwise axioms are already enforced at construction; this adds the
-    O(n^3) scan through ``space.distance``. Raises ValueError at the first
-    violation.
+    ``FiniteSpace`` runs it on every table after the pairwise axioms: the
+    O(n^3) scan through ``space.distance``. Symmetry, already checked, leaves
+    one order per pair, and a triple that repeats a point holds trivially.
+    Raises ValueError at the first violation.
     """
-    labels = space.labels
-    for x in labels:
-        for y in labels:
-            dxy = space.distance(x, y)
+    labels, d = space.labels, space.distance
+    for i, x in enumerate(labels):
+        for y in labels[i + 1:]:
+            dxy = d(x, y)
             for z in labels:
-                if dxy > space.distance(x, z) + space.distance(z, y):
+                if z != x and z != y and dxy > d(x, z) + d(z, y):
                     raise ValueError(f"triangle inequality fails at {x!r}, {y!r} via {z!r}")
 
 
@@ -267,10 +270,6 @@ class TestFn(Frozen):
         if other.space != self.space:
             raise ValueError("cannot add test functions on different spaces")
         return TestFn(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    @classmethod
-    def constant(cls, space: FiniteSpace, c: int | str | Rat) -> TestFn:
-        return cls(space, (as_rat(c),) * space.n)
 
     @classmethod
     def indicator(cls, space: FiniteSpace, x: object) -> TestFn:

@@ -1,9 +1,9 @@
 """The step-function space over a finite base metric.
 
 Provides the integral metric d_hm, window-average coordinates (a test
-function averaged over a window), max-combined pseudometrics, the functor
-action of a point map, the pairing of two functions (``stepfn.pairing``,
-re-exported), the constant-function unit, and exact support predicates.
+function averaged over a window), the functor action of a point map, the
+pairing of two functions (``stepfn.pairing``, re-exported), the
+constant-function unit, and exact support predicates.
 Each operation checks its points against the base space and then calls a
 level-generic ``stepfn`` kernel, which ``tower`` nests one level up with the
 same (num, den) int tables, built by ``_distance_ratios`` and ``_weight_ratios``;
@@ -73,22 +73,6 @@ class Functional(NamedTuple):
     window: Window
 
 
-class Pseudometric(Frozen):
-    """Finitely many coordinates combined with max of absolute gaps."""
-
-    _fields = ("functionals",)
-    functionals: tuple[Functional, ...]
-
-    def __init__(self, functionals: Iterable[Functional]) -> None:
-        fs = tuple(functionals)
-        if not fs:
-            raise ValueError("a pseudometric needs at least one coordinate")
-        space = fs[0].phi.space
-        if any(fnl.phi.space != space for fnl in fs):
-            raise ValueError("all coordinates must share one base space")
-        self._set(functionals=fs)
-
-
 class SpaceMap(Frozen):
     """A (total) map between finite spaces, one target point per source point.
 
@@ -120,18 +104,6 @@ class SpaceMap(Frozen):
     def __call__(self, x: object) -> object:
         self.source.index_of(x)  # refuses a non-point
         return self.rule(x)
-
-    def after(self, other: SpaceMap) -> SpaceMap:
-        """Composite self ∘ other; other's target must be self's source."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch: inner target differs from outer source")
-        return SpaceMap(
-            other.source, self.target, tuple(self(y) for y in other.assignment)
-        )
-
-    @classmethod
-    def identity(cls, space: FiniteSpace) -> SpaceMap:
-        return cls(space, space, space.labels)
 
 
 class _RuleMap(SpaceMap):
@@ -175,14 +147,6 @@ def functional_eval(fnl: Functional, f: StepFn) -> Rat:
     """Exact mean of phi(f(t)) over the functional's window."""
     weight = _weight_ratios(fnl.phi, _check_points(fnl.phi.space, f.values))
     return Rat(*window_ratio(f, weight, fnl.window))
-
-
-def pseudometric_eval(rho: Pseudometric, f: StepFn, g: StepFn) -> Rat:
-    """Max over coordinates of |coordinate(f) - coordinate(g)|."""
-    return max(
-        abs(functional_eval(fnl, f) - functional_eval(fnl, g))
-        for fnl in rho.functionals
-    )
 
 
 def hm_map(h: SpaceMap, f: StepFn) -> StepFn:

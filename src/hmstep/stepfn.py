@@ -24,12 +24,12 @@ one pass as they walk the ticks and build no cells; the one other pair walk
 builds ``pairing``, whose pieces are ``common_refinement``'s cells.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor
-coerces and checks every partition, and :func:`from_segments` and
-:func:`parse_stepfn` check only what it cannot see. Internal producers
-(``blocks``, ``map_values``, ``canonicalize``, ``pairing``, ``diagonal``)
-derive their partitions from checked inputs, so they run the one merge scan
-and build their canonical result once; ``constant``'s partition is fixed, and
-``blocks`` of distinct neighbours skips the scan, as n blocks are canonical.
+coerces and checks every partition, and :func:`parse_stepfn` checks only what
+it cannot see. Internal producers (``blocks``, ``map_values``,
+``canonicalize``, ``pairing``, ``diagonal``) derive their partitions from
+checked inputs, so they run the one merge scan and build their canonical
+result once; ``constant``'s partition is fixed, and ``blocks`` of distinct
+neighbours skips the scan, as n blocks are canonical.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class StepFn(Frozen):
         bps = self.breakpoints
         return zip(bps, bps[1:], self.values)
 
-    @property
-    def is_canonical(self) -> bool:
-        return canonicalize(self) is self
-
 
 def _trusted(den: int, ticks: tuple[int, ...], values: tuple) -> StepFn:
     """A ``StepFn`` over a partition already known to be valid, built without
@@ -173,20 +169,6 @@ def canonicalize(f: StepFn) -> StepFn:
 def constant(value: object) -> StepFn:
     """The one-piece step function with the given value on all of [0, 1)."""
     return _trusted(1, (0, 1), (value,))
-
-
-def from_segments(segments: Iterable[tuple[Rat, Rat, object]]) -> StepFn:
-    """Assemble a canonical step function from contiguous (start, end, value)
-    triples covering [0, 1) in order; zero-length segments are tolerated. Only
-    contiguity is checked here: ``StepFn`` refuses backwards or short covers."""
-    bps: list[Rat] = [ZERO]
-    vals: list = []
-    for start, end, v in segments:
-        if as_rat(start) != bps[-1]:
-            raise ValueError("segments must be contiguous from 0 to 1")
-        bps.append(as_rat(end))
-        vals.append(v)
-    return canonicalize(StepFn(bps, vals))
 
 
 def map_values(f: StepFn, fn: Callable[[object], object]) -> StepFn:

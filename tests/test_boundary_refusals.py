@@ -37,7 +37,7 @@ def _yaml_report():
     (lambda: parse_value("(1,2"), "unbalanced parentheses"),
     (lambda: random_stepfn2(K2, 0, 2, 0), "outer grid must be at least 1"),
     (lambda: random_stepfn3(K2, 0, 2, 2, 0), "outer grid must be at least 1"),
-    (lambda: compose_testfn(TestFn.constant(K2, 1), SpaceMap(K2, K3, (1, 2))), "map's target space"),
+    (lambda: compose_testfn(TestFn(K2, (1, 1)), SpaceMap(K2, K3, (1, 2))), "map's target space"),
     (_yaml_report, "unknown format 'yaml'"),
     (lambda: SpaceMap(K2, K3, ([1], 2)), "is not a point"),
     (lambda: support_criterion_check(K2, constant(1), [[1]]), "is not a point"),

@@ -58,7 +58,7 @@ def raw(f: StepFn, space: FiniteSpace, level: int, rng: random.Random) -> StepFn
     k = rng.randrange(len(bps))
     stray = rng.choice(sample(space, level, rng).values)
     copy = StepFn(bps[: k + 1] + (bps[k],) + bps[k + 1 :], vals[:k] + (stray,) + vals[k:])
-    assert not copy.is_canonical and canonicalize(copy) == f
+    assert canonicalize(copy) is not copy and canonicalize(copy) == f
     return copy
 
 

@@ -104,12 +104,11 @@ class TestFiniteSpaceValidation:
             FiniteSpace((1, 2), ((0, 2), (2, 0)))
 
     def test_validator_catches_broken_triangle(self):
-        # pairwise axioms hold, triangle does not: construction passes,
-        # the exhaustive validator must refuse
+        # the pairwise axioms hold and the triangle inequality does not:
+        # construction refuses the table, like every other axiom
         q = Fraction(1, 4)
-        bad = FiniteSpace((1, 2, 3), ((0, 1, q), (1, 0, q), (q, q, 0)))
-        with pytest.raises(ValueError):
-            validate_metric(bad)
+        with pytest.raises(ValueError, match="triangle inequality"):
+            FiniteSpace((1, 2, 3), ((0, 1, q), (1, 0, q), (q, q, 0)))
 
     def test_validator_passes_discrete_exhaustively(self):
         for n in range(1, 7):
@@ -156,7 +155,7 @@ class TestTestFn:
         phi = TestFn(k3, (Fraction(1, 2), 0, 1))
         assert phi(1) == Fraction(1, 2)
         assert phi.scaled(2)(1) == 1
-        psi = phi + TestFn.constant(k3, Fraction(1, 2))
+        psi = phi + TestFn(k3, (Fraction(1, 2),) * k3.n)
         assert psi(2) == Fraction(1, 2)
 
     def test_indicator(self):

@@ -47,11 +47,11 @@ NESTED_UNHASHABLE = StepFn((0, 1), (UNHASHABLE,))
 
 @pytest.mark.parametrize("call", (
     lambda space: d_hm(space, UNHASHABLE, UNHASHABLE),
-    lambda space: hm_map(SpaceMap.identity(space), UNHASHABLE),
-    lambda space: functional_eval(Functional(TestFn.constant(space, 1), FULL_WINDOW), UNHASHABLE),
+    lambda space: hm_map(SpaceMap(space, space, space.labels), UNHASHABLE),
+    lambda space: functional_eval(Functional(TestFn(space, (1,) * space.n), FULL_WINDOW), UNHASHABLE),
     lambda space: d_hm2(space, NESTED_UNHASHABLE, NESTED_UNHASHABLE),
-    lambda space: h2_map(SpaceMap.identity(space), NESTED_UNHASHABLE),
-    lambda space: iterated_functional_eval(TestFn.constant(space, 1), FULL_WINDOW, FULL_WINDOW, NESTED_UNHASHABLE),
+    lambda space: h2_map(SpaceMap(space, space, space.labels), NESTED_UNHASHABLE),
+    lambda space: iterated_functional_eval(TestFn(space, (1,) * space.n), FULL_WINDOW, FULL_WINDOW, NESTED_UNHASHABLE),
 ), ids=("d_hm", "hm_map", "functional_eval", "d_hm2", "h2_map", "iterated_functional_eval"))
 def test_unhashable_value_is_not_a_point(call):
     space = make_discrete_space(2)

@@ -39,7 +39,7 @@ import hmstep
 from hmstep.core import TestFn, Window
 from hmstep.hm import support, support_criterion_check
 from hmstep.laws import bump_fn, default_spaces, nested_bumps_fn, staircase_fn
-from hmstep.stepfn import StepFn, blocks, canonicalize, constant, diagonal, from_segments, map_values, pairing
+from hmstep.stepfn import StepFn, blocks, canonicalize, constant, diagonal, map_values, pairing
 
 from conftest import oracle_functional
 
@@ -169,7 +169,6 @@ def test_every_producer_returns_a_fixed_point_of_canonicalize(f, g, values, data
         "map_values": map_values(f, lambda v: v // 2),
         "canonicalize": canonicalize(f),
         "constant": constant(values[0]),
-        "from_segments": from_segments(f.segments()),
         "pairing": pairing(f, g),
         "diagonal": diagonal(blocks((f, g, f))),
         "bump_fn": bump_fn(i, n),

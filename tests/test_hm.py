@@ -16,14 +16,12 @@ from hmstep.core import (
 )
 from hmstep.hm import (
     Functional,
-    Pseudometric,
     SpaceMap,
     compose_testfn,
     d_hm,
     functional_eval,
     hm_map,
     product_projections,
-    pseudometric_eval,
     support,
     support_criterion_check,
     support_membership_check,
@@ -128,54 +126,10 @@ class TestFunctionalEval:
             )
 
 
-class TestPseudometric:
-    def test_requires_a_coordinate(self):
-        with pytest.raises(ValueError):
-            Pseudometric(())
-
-    def test_requires_shared_space(self):
-        a = Functional(TestFn.indicator(K2, 1), FULL_WINDOW)
-        b = Functional(TestFn.indicator(K3, 1), FULL_WINDOW)
-        with pytest.raises(ValueError):
-            Pseudometric((a, b))
-
-    def test_two_point_separation(self):
-        rho = Pseudometric((Functional(TestFn.indicator(K2, 1), FULL_WINDOW),))
-        assert pseudometric_eval(rho, unit(1, K2), unit(2, K2)) == 1
-        assert pseudometric_eval(rho, unit(2, K2), unit(2, K2)) == 0
-
-    def test_max_over_coordinates(self):
-        f = staircase(2)
-        g = unit(1, K2)
-        rho = Pseudometric(
-            (
-                Functional(TestFn.indicator(K2, 2), Window(0, Fraction(1, 2))),
-                Functional(TestFn.indicator(K2, 2), Window(Fraction(1, 2), 1)),
-            )
-        )
-        # coordinate gaps are 0 and 1; the max wins
-        assert pseudometric_eval(rho, f, g) == 1
-
-    def test_bounded_by_coordinate_count_times_gap(self):
-        rng = random.Random(51)
-        for _ in range(50):
-            f = random_stepfn(K2, rng.randint(1, 6), rng)
-            g = random_stepfn(K2, rng.randint(1, 6), rng)
-            rho = Pseudometric(
-                tuple(
-                    Functional(TestFn.indicator(K2, rng.choice(K2.labels)), FULL_WINDOW)
-                    for _ in range(rng.randint(1, 3))
-                )
-            )
-            gap = pseudometric_eval(rho, f, g)
-            assert 0 <= gap <= 1
-            assert pseudometric_eval(rho, f, g) == pseudometric_eval(rho, g, f)
-
-
 class TestHmMap:
     def test_identity_map(self):
         f = staircase(3)
-        assert hm_map(SpaceMap.identity(K3), f) == f
+        assert hm_map(SpaceMap(K3, K3, K3.labels), f) == f
 
     def test_projecting_the_diagonal_staircase(self):
         p = product_space(K3, K3)
@@ -210,8 +164,9 @@ class TestHmMap:
             f = random_stepfn(K3, rng.randint(1, 8), rng)
             h = SpaceMap(K3, K2, tuple(rng.choice(K2.labels) for _ in K3.labels))
             g = SpaceMap(K2, TWO, tuple(rng.choice(TWO.labels) for _ in K2.labels))
-            assert hm_map(g, hm_map(h, f)) == hm_map(g.after(h), f)
-        assert hm_map(SpaceMap.identity(K3), staircase(3)) == staircase(3)
+            g_after_h = SpaceMap(K3, TWO, tuple(g(h(x)) for x in K3.labels))
+            assert hm_map(g, hm_map(h, f)) == hm_map(g_after_h, f)
+        assert hm_map(SpaceMap(K3, K3, K3.labels), staircase(3)) == staircase(3)
 
     def test_unit_naturality(self):
         h = SpaceMap(K3, K2, (1, 2, 2))
@@ -323,10 +278,3 @@ class TestSpaceMap:
             SpaceMap(K3, K2, (1, 2))
         with pytest.raises(ValueError):
             SpaceMap(K3, K2, (1, 2, 9))
-
-    def test_composition_checks_spaces(self):
-        h = SpaceMap(K3, K2, (1, 2, 2))
-        g = SpaceMap(K2, TWO, (0, 1))
-        assert g.after(h)(3) == 1
-        with pytest.raises(ValueError):
-            h.after(h)

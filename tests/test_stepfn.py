@@ -19,7 +19,6 @@ from hmstep.stepfn import (
     constant,
     evaluate,
     format_stepfn,
-    from_segments,
     measure_preimage,
     parse_stepfn,
     random_stepfn,
@@ -59,7 +58,7 @@ class TestConstruction:
 
     def test_admits_mergeable_and_zero_length(self):
         raw = StepFn((0, Fraction(1, 3), Fraction(1, 3), 1), (1, 2, 1))
-        assert not raw.is_canonical
+        assert canonicalize(raw) is not raw
 
     def test_breakpoints_coerced_to_rationals(self):
         f = StepFn((0, "1/2", 1), (1, 2))
@@ -84,7 +83,7 @@ class TestCanonicalize:
     @given(stepfns())
     def test_idempotent_and_canonical(self, f):
         c = canonicalize(f)
-        assert c.is_canonical
+        assert canonicalize(c) is c
         assert canonicalize(c) == c
 
     @given(stepfns())
@@ -209,7 +208,7 @@ class TestRandomStepFn:
     def test_respects_grid_bound_and_domain(self):
         for seed in range(30):
             f = random_stepfn(K3, 4, seed)
-            assert f.is_canonical
+            assert canonicalize(f) is f
             assert f.pieces <= 4
             assert all(t.denominator in (1, 2, 4) for t in f.breakpoints)
             assert set(f.values) <= set(K3.labels)
@@ -263,25 +262,6 @@ class TestSerialization:
             parse_stepfn("0 1")
         with pytest.raises(ValueError):
             parse_stepfn("")
-
-
-class TestFromSegments:
-    def test_reassembles(self):
-        f = staircase(3)
-        assert from_segments(list(f.segments())) == f
-
-    def test_rejects_gaps(self):
-        with pytest.raises(ValueError):
-            from_segments([(0, Fraction(1, 2), 1), (Fraction(3, 4), 1, 2)])
-        with pytest.raises(ValueError):
-            from_segments([(0, Fraction(1, 2), 1)])
-
-    def test_rejects_a_backwards_segment(self):
-        # contiguous, but the middle segment runs from 1/2 back to 1/4
-        with pytest.raises(ValueError):
-            from_segments(
-                [(0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 4), 2), (Fraction(1, 4), 1, 3)]
-            )
 
 
 def test_a_built_stepfn_cannot_be_rewritten():

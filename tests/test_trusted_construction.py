@@ -3,7 +3,7 @@
 Every producer that skips the validating ``StepFn`` constructor is checked
 here on its output: the public constructor accepts the same partition and
 gives an equal function, the partition is canonical by the definition
-written out below (not by ``is_canonical``, which is the merge scan itself),
+written out below (not by the merge scan, which ``canonicalize`` runs),
 every breakpoint is a ``Fraction``, and ``canonicalize`` hands a canonical
 function back unchanged. The fast ``canonicalize`` and ``diagonal_flatten``
 are compared with midpoint oracles that rebuild the canonical form through
@@ -28,7 +28,6 @@ from hmstep.stepfn import (
     canonicalize,
     constant,
     evaluate,
-    from_segments,
     map_values,
     random_stepfn,
 )
@@ -61,7 +60,6 @@ def assert_trusted_ok(f: StepFn, deep: bool = True) -> None:
     assert all(t0 < t1 for t0, t1 in zip(f.breakpoints, f.breakpoints[1:]))
     assert all(a != b for a, b in zip(f.values, f.values[1:]))
     assert canonicalize(f) is f
-    assert f.is_canonical
     if deep:
         for v in f.values:
             if isinstance(v, StepFn):
@@ -88,11 +86,8 @@ def oracle_flatten(F: StepFn) -> StepFn:
     """s maps to F(s)(s), read at midpoints of every breakpoint in sight."""
     extra = tuple(t for g in F.values for t in g.breakpoints)
     bps = merged_breakpoints(F, extra=extra)
-    segments = []
-    for a, b in zip(bps, bps[1:]):
-        mid = (a + b) / 2
-        segments.append((a, b, evaluate(evaluate(F, mid), mid)))
-    return oracle_canonical(from_segments(segments))
+    mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    return oracle_canonical(StepFn(bps, [evaluate(evaluate(F, mid), mid) for mid in mids]))
 
 
 @st.composite

@@ -2,7 +2,7 @@
 the classes are built.
 
 Validated types (``FiniteSpace``, ``TestFn``, ``Window``, ``StepFn``,
-``SpaceMap``, ``Pseudometric``, ``MuCandidate``): equal instances hash
+``SpaceMap``, ``MuCandidate``): equal instances hash
 equal, the hash is the hash of the field tuple, an instance of another class
 (a subclass included) compares unequal, the repr reads ``Name(field=...)``,
 and assignment and deletion raise ``AttributeError``.
@@ -21,7 +21,7 @@ import pytest
 
 from hmstep.cli import Report, RunConfig, run
 from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space, product_space
-from hmstep.hm import Functional, Pseudometric, SpaceMap, product_projections
+from hmstep.hm import Functional, SpaceMap, product_projections
 from hmstep.laws import FiberResult, LawFailure, LawReport, ProbeRow, Witnesses, build_witnesses
 from hmstep.stepfn import StepFn
 from hmstep.tower import DIAGONAL, MuCandidate, diagonal_flatten
@@ -32,14 +32,12 @@ TABLE = FiniteSpace((0, 1), ((0, "1/2"), ("1/2", 0)))
 
 def _validated():
     """(fields, build) per validated type; build() makes a fresh, equal instance each call."""
-    phi = TestFn(SPACE, (1, 0, "1/3"))
     return {
         "FiniteSpace": (("labels", "dist"), lambda: FiniteSpace((0, 1), ((0, "1/2"), ("1/2", 0)))),
         "TestFn": (("space", "values"), lambda: TestFn(make_discrete_space(3), (1, 0, "1/3"))),
         "Window": (("a", "b"), lambda: Window("1/4", "3/4")),
         "StepFn": (("den", "ticks", "values"), lambda: StepFn((0, "1/3", "1/2", 1), (1, 2, 1))),
         "SpaceMap": (("source", "target", "assignment"), lambda: SpaceMap(SPACE, TABLE, (0, 1, 1))),
-        "Pseudometric": (("functionals",), lambda: Pseudometric((Functional(phi, FULL_WINDOW),))),
         "MuCandidate": (("name", "transform"), lambda: MuCandidate("diagonal", diagonal_flatten)),
     }
 
@@ -106,8 +104,8 @@ def test_exact_hashes_and_reprs():
 def test_keyword_construction():
     assert FiniteSpace(labels=(1, 2, 3)) == SPACE
     assert Window(a=0, b=1) == FULL_WINDOW
-    assert TestFn(space=SPACE, values=(1, 1, 1)) == TestFn.constant(SPACE, 1)
-    assert SpaceMap(source=SPACE, target=SPACE, assignment=(1, 2, 3)) == SpaceMap.identity(SPACE)
+    assert TestFn(space=SPACE, values=(1, 1, 1)) == TestFn(SPACE, (1,) * SPACE.n)
+    assert SpaceMap(source=SPACE, target=SPACE, assignment=(1, 2, 3)) == SpaceMap(SPACE, SPACE, SPACE.labels)
     assert MuCandidate(name="diagonal", transform=diagonal_flatten) == DIAGONAL
 
 
