@@ -1,12 +1,11 @@
 """Batch verification front end.
 
-Checks all four budgets (samples, forced chains, fiber, probe rows) in one
-gate, then runs the coordinate/support suites, the monad-law suites for a
-chosen candidate, the fiber decisions and the discontinuity probe's runs of
-rows as jobs in forked workers, one per CPU. Renders one deterministic report
-(JSON, CSV for probe rows, or text), byte-identical for identical config and
-seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error,
-3 over budget, out of memory, or the report cannot be rendered or written.
+Plans a command as jobs once each budget it is charged (samples, forced chains, fiber, probe rows) is checked;
+``all`` plans its four parts as each would run alone. Then runs the coordinate/support suites, the monad-law suites
+for a chosen candidate, the fiber decisions and the discontinuity probe's runs of rows as jobs in forked workers,
+one per CPU. Renders one deterministic report (JSON, CSV for probe rows, or text), byte-identical for identical
+config and seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error, 3 over budget, out of
+memory, or the report cannot be rendered or written.
 """
 
 from __future__ import annotations
@@ -101,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--command", dest="command_flag", choices=COMMANDS, help="alternative to the positional command")
     parser.add_argument("--n-range", metavar="LOW:HIGH", help="witness index range (default 1:16)")
-    parser.add_argument("--grid", type=int, help="subdivision for fiber runs / denominator bound for sampled functions")
+    parser.add_argument("--grid", type=int, help="denominator bound for the sampled functions of lemmas (default 12); "
+                        "subdivision for fiber (default 2, and 2 when all runs fiber); laws and probe ignore it")
     parser.add_argument("--samples", type=int, default=200, help="sample count per suite (default 200)")
     parser.add_argument("--seed", type=int, default=0, help="seed for all sampled suites (default 0)")
     parser.add_argument("--candidate", default="diagonal", help="multiplication candidate name (default diagonal)")
@@ -146,31 +146,6 @@ def parse_config(argv: list[str]) -> RunConfig:
         format=ns.format,
         out=ns.out,
     )
-
-
-def _lemma_block(samples: int, seed: int, grid: int) -> list[Callable[[], LawReport]]:
-    pool = default_spaces()
-    return [
-        partial(check_linearity, pool, samples, seed + 1, grid=grid),
-        partial(check_monotonicity, pool, samples, seed + 2, grid=grid),
-        partial(check_coordinate_naturality, samples, seed + 3, grid=grid),
-        partial(check_unit_coordinate, pool, samples, seed + 4),
-        partial(check_support_criterion, pool, samples, seed + 5, grid=grid),
-        partial(check_support_membership, pool, samples, seed + 6, grid=grid),
-        partial(check_metric_axioms, pool, samples, seed + 7, grid=grid),
-        partial(check_metric_axioms_level2, pool, samples, seed + 8),
-    ]
-
-
-def _law_block(candidate: str, samples: int, seed: int, chain_ns: range) -> list[Callable[[], LawReport]]:
-    mu = CANDIDATES[candidate]
-    pool = default_spaces(3)
-    return [
-        partial(check_unit_laws, mu, pool, samples, seed + 11),
-        partial(check_associativity, mu, pool, samples, seed + 12),
-        partial(check_naturality, mu, samples, seed + 13),
-        *(partial(forced_value_chain, n, mu, seed=seed + 20 + n) for n in chain_ns),
-    ]
 
 
 def _cpus() -> int:
@@ -247,52 +222,71 @@ def _results(jobs: list[Callable]) -> list:
     return [value for _, _, value in outcomes]
 
 
+# the parts of ``all`` as (command, n_range, grid), each planned as it would run alone; grid None keeps --grid
+_ALL = (("lemmas", (1, 16), None), ("laws", (1, 4), None), ("fiber", (1, 3), 2), ("probe", (1, 16), None))
+
+
+def _plan(config: RunConfig) -> list[Callable]:
+    """One command's jobs over its --n-range, none run, once each budget it is charged is checked. A job returns
+    a LawReport, or a list of probe rows. The partials are built here, so they call this module's names as bound now."""
+    (lo, hi), samples, seed = config.n_range, config.samples, config.seed
+    if config.command == "fiber":
+        # n * grid cells times n * n labels bounds the paired base and the assignment count at the largest n
+        if hi**3 * (grid := config.grid or 2) > DEFAULT_FIBER_BUDGET:
+            raise BudgetError(f"fiber search at n={hi} grid={grid} is over the budget of {DEFAULT_FIBER_BUDGET}")
+        # the report prints that count, (n * n) ** (n * grid), in at most the digits Python prints, if limited;
+        # a count of at most 3 * limit bits is below 8 ** limit, so 10 ** limit is built only when it is small
+        count, limit = (hi * hi) ** (hi * grid), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and count.bit_length() > 3 * limit and count >= 10**limit:
+            raise BudgetError(f"fiber count at n={hi} grid={grid} is over the budget of {limit} printable digits")
+        return [lambda n=n: fiber_uniqueness(n, grid).to_report() for n in range(lo, hi + 1)]
+    if config.command == "probe":
+        if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
+            raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
+        mu = CANDIDATES[config.candidate]
+        return [partial(discontinuity_probe, mu, run[-1], run[0]) for run in _runs(lo, hi, _cpus())]
+    # lemma suites cost linear in --grid; the law suites run at fixed grids 8, 4 and 4, and are charged 12
+    grid = (config.grid or 12) if config.command == "lemmas" else 12
+    if samples * grid > DEFAULT_SAMPLE_BUDGET:
+        raise BudgetError(f"samples times grid ({samples} x {grid}) is over the budget of {DEFAULT_SAMPLE_BUDGET}")
+    if config.command == "lemmas":
+        pool = default_spaces()
+        return [
+            partial(check_linearity, pool, samples, seed + 1, grid=grid),
+            partial(check_monotonicity, pool, samples, seed + 2, grid=grid),
+            partial(check_coordinate_naturality, samples, seed + 3, grid=grid),
+            partial(check_unit_coordinate, pool, samples, seed + 4),
+            partial(check_support_criterion, pool, samples, seed + 5, grid=grid),
+            partial(check_support_membership, pool, samples, seed + 6, grid=grid),
+            partial(check_metric_axioms, pool, samples, seed + 7, grid=grid),
+            partial(check_metric_axioms_level2, pool, samples, seed + 8),
+        ]
+    # n * n summed over 1..m is m(m+1)(2m+1)/6
+    if (cost := (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6) > DEFAULT_CHAIN_BUDGET:
+        raise BudgetError(f"n squared over chains {lo}..{hi} ({cost}) is over the budget of {DEFAULT_CHAIN_BUDGET}")
+    pool, mu = default_spaces(3), CANDIDATES[config.candidate]
+    return [
+        partial(check_unit_laws, mu, pool, samples, seed + 11),
+        partial(check_associativity, mu, pool, samples, seed + 12),
+        partial(check_naturality, mu, samples, seed + 13),
+        *(partial(forced_value_chain, n, mu, seed=seed + 20 + n) for n in range(lo, hi + 1)),
+    ]
+
+
 def run(config: RunConfig) -> tuple[int, Report]:
     """Execute the configured command; returns (exit_code, report).
 
-    A command runs its own block over --n-range, and ``all`` runs every block at fixed ranges: the lemmas,
-    laws 1..4, fiber 1..3 at grid 2 and probe 1..16. The budgets and the jobs are both read from that one set
-    of blocks, and every budget is checked before any job. The probe's rows are cut into one run per CPU of about
-    equal n summed, and their rows are joined in order. May raise :class:`BudgetError` or ``MemoryError``; ``main``
-    maps both to exit code 3.
+    A command runs its own plan over --n-range, and ``all`` runs the plans of its four parts: the lemmas, laws
+    1..4, fiber 1..3 at grid 2 and probe 1..16, each checked and charged as it would run alone. Every plan is made,
+    so every budget checked, before any job runs; then all jobs run in one call, the probe's cut into one run per
+    CPU of about equal n summed. May raise :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
     """
-    blocks = {config.command: range(config.n_range[0], config.n_range[1] + 1)}
-    fiber_grid = config.grid or 2
-    if config.command == "all":
-        blocks, fiber_grid = {"lemmas": None, "laws": range(1, 5), "fiber": range(1, 4), "probe": range(1, 17)}, 2
-    grid = config.grid or 12
-    # lemma suites cost linear in --grid; the law suites run at fixed grids 8, 4 and 4, and are charged 12
-    counted = max(grid if "lemmas" in blocks else 0, 12 if "laws" in blocks else 0)
-    if config.samples * counted > DEFAULT_SAMPLE_BUDGET:
-        raise BudgetError(
-            f"samples times grid ({config.samples} x {counted}) is over the budget of {DEFAULT_SAMPLE_BUDGET}"
-        )
-    if "laws" in blocks:
-        a, b = blocks["laws"][0] - 1, blocks["laws"][-1]  # n * n summed over 1..m is m(m+1)(2m+1)/6
-        if (cost := (b * (b + 1) * (2 * b + 1) - a * (a + 1) * (2 * a + 1)) // 6) > DEFAULT_CHAIN_BUDGET:
-            raise BudgetError(f"n squared over chains {a + 1}..{b} ({cost}) is over the budget of {DEFAULT_CHAIN_BUDGET}")
-    if "fiber" in blocks:
-        # n * grid cells times n * n labels bounds the paired base and the assignment count at the largest n
-        if (n := blocks["fiber"][-1]) ** 3 * fiber_grid > DEFAULT_FIBER_BUDGET:
-            raise BudgetError(f"fiber search at n={n} grid={fiber_grid} is over the budget of {DEFAULT_FIBER_BUDGET}")
-        # the report prints that count, (n * n) ** (n * grid), in at most the digits Python prints, if limited;
-        # a count of at most 3 * limit bits is below 8 ** limit, so 10 ** limit is built only when it is small
-        count, limit = (n * n) ** (n * fiber_grid), getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and count.bit_length() > 3 * limit and count >= 10**limit:
-            raise BudgetError(f"fiber count at n={n} grid={fiber_grid} is over the budget of {limit} printable digits")
-    if "probe" in blocks:
-        lo, hi = blocks["probe"][0], blocks["probe"][-1]
-        if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
-            raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
-    jobs = _lemma_block(config.samples, config.seed, grid) if "lemmas" in blocks else []
-    if "laws" in blocks:
-        jobs += _law_block(config.candidate, config.samples, config.seed, blocks["laws"])
-    if "fiber" in blocks:
-        jobs += [lambda n=n: fiber_uniqueness(n, fiber_grid).to_report() for n in blocks["fiber"]]
-    mu, runs = CANDIDATES[config.candidate], (_runs(lo, hi, _cpus()) if "probe" in blocks else [])
-    suites = _results([*jobs, *(partial(discontinuity_probe, mu, run[-1], run[0]) for run in runs)])
-    probe_rows = [row for rows in suites[len(jobs):] for row in rows]
-    report = Report(__version__, config.echo(), tuple(suites[: len(jobs)]), tuple(probe_rows))
+    parts = [config._replace(command=c, n_range=r, grid=g or config.grid) for c, r, g in _ALL]
+    parts = parts if config.command == "all" else [config]
+    results = _results([job for plan in map(_plan, parts) for job in plan])
+    suites = tuple(result for result in results if isinstance(result, LawReport))
+    probe_rows = tuple(row for result in results if isinstance(result, list) for row in result)
+    report = Report(__version__, config.echo(), suites, probe_rows)
     return (0 if report.passed else 1), report
 
 

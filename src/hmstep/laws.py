@@ -78,9 +78,9 @@ CANDIDATES: dict[str, MuCandidate] = {
 }
 
 DEFAULT_FIBER_BUDGET = 1_000_000  # n cubed times grid at the largest n of fiber: 100 at grid 1, 79 at grid 2
-# samples times the grid charged per sample: --grid for lemmas, whose suites cost linear
-# in it; 12 for laws, whose suites run at the fixed grids below; the larger for all.
-# 1000 samples at the default grid 12
+# samples times the grid each command is charged per sample: --grid for lemmas, whose suites
+# cost linear in it; 12 for laws, whose suites run at the fixed grids below. all charges its
+# lemma and law parts as each would run alone. 1000 samples at the default grid 12
 DEFAULT_SAMPLE_BUDGET = 12_000
 _UNIT_GRID, _ASSOCIATIVITY_GRID, _NATURALITY_GRID = 8, 4, 4
 # n summed over the probe's rows, each linear in n: exactly probe 1..512

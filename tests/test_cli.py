@@ -258,6 +258,7 @@ class TestSampleBudget:
         ["lemmas", "--grid", "1000000000", "--samples", "1"],
         ["lemmas", "--samples", "1000000000"],
         ["all", "--samples", "12000", "--grid", "1"],
+        ["all", "--samples", "12001", "--grid", "1"],
     ))
     def test_unbounded_samples_exit_three_at_once(self, argv):
         proc = subprocess.run(
@@ -299,6 +300,27 @@ class TestSampleBudget:
             run(parse_config(["all", "--samples", "1001", "--grid", "1"]))
         assert main(["all", "--samples", "1000", "--grid", "1"]) == 0
         assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    @pytest.mark.parametrize("grid", (None, 1, 11, 12, 13, 20))
+    @pytest.mark.parametrize("samples", (1000, 1001, 5999, 6000, 6001, 12000, 12001))
+    def test_all_admits_what_one_charge_of_the_larger_admits(self, monkeypatch, samples, grid):
+        # all charges its lemma part samples x grid and its law part samples x 12, each as it would run alone:
+        # together they refuse exactly samples x max(grid, 12) over the budget. The stubbed jobs cost nothing.
+        monkeypatch.setattr(cli, "_results", lambda jobs: [])
+        config = RunConfig(command="all", samples=samples, grid=grid)
+        if samples * max(grid or 12, 12) > DEFAULT_SAMPLE_BUDGET:
+            with pytest.raises(hmstep.BudgetError, match=f"samples times grid \\({samples} x "):
+                run(config)
+        else:
+            assert run(config) == (0, Report(hmstep.__version__, config.echo(), (), ()))
+
+    def test_all_names_the_charge_of_the_part_over_the_budget(self, monkeypatch, capsys):
+        # below grid 12 the lemma part is checked first: its own charge is named when it alone is over
+        monkeypatch.setattr(cli, "_results", lambda jobs: [])
+        assert main(["all", "--samples", "12001", "--grid", "1"]) == 3
+        assert capsys.readouterr().err == "hmstep: samples times grid (12001 x 1) is over the budget of 12000\n"
+        assert main(["all", "--samples", "6001", "--grid", "1"]) == 3
+        assert capsys.readouterr().err == "hmstep: samples times grid (6001 x 12) is over the budget of 12000\n"
 
     def test_admitted_lemma_edge_runs_in_seconds(self):
         # the whole budget on one sample: every lemma suite is linear in grid
@@ -448,7 +470,9 @@ class TestFiberBudget:
     "laws --n-range 1:300",
     "probe --n-range 1:513",
     "fiber --n-range 80:80 --grid 2",
-), ids=("samples", "chain", "probe", "fiber"))
+    "all --samples 12001 --grid 1",
+    "all --samples 1001 --grid 1",
+), ids=("samples", "chain", "probe", "fiber", "all-lemma-samples", "all-law-samples"))
 def test_every_budget_is_checked_before_any_job(monkeypatch, capsys, argv):
     def never(*args):
         raise AssertionError("work started before the budget gate refused")
@@ -461,3 +485,19 @@ def test_every_budget_is_checked_before_any_job(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("hmstep:") and "budget" in lines[0]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("candidate", ("diagonal", "constant-left", "remap-last"))
+def test_all_is_its_four_commands(monkeypatch, workers, candidate):
+    # all runs lemmas, laws 1:4, fiber 1:3 at grid 2 and probe 1:16 with its flags, each as it would run alone
+    monkeypatch.setattr(cli, "_cpus", lambda: workers)
+    parts = ("lemmas", "laws --n-range 1:4", "fiber --n-range 1:3 --grid 2", "probe --n-range 1:16")
+    for seed in (0, 7):
+        for grid in ([], ["--grid", "5"], ["--grid", "20"]):
+            flags = ["--samples", "20", "--seed", str(seed), "--candidate", candidate, *grid]
+            alone = [run(parse_config([*flags, *part.split()])) for part in parts]
+            code, report = run(parse_config(["all", *flags]))
+            assert report.suites == tuple(suite for _, part in alone for suite in part.suites)
+            assert report.probe == tuple(row for _, part in alone for row in part.probe)
+            assert report.probe and code == max(part_code for part_code, _ in alone)
