@@ -2,10 +2,10 @@
 
 Plans a command as jobs once each budget it is charged (samples, forced chains, fiber, probe rows) is checked;
 ``all`` plans its four parts as each would run alone. Then runs the coordinate/support suites, the monad-law suites
-for a chosen candidate, the fiber decisions and the discontinuity probe's runs of rows as jobs in forked workers,
-one per CPU. Renders one deterministic report (JSON, CSV for probe rows, or text), byte-identical for identical
-config and seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error, 3 over budget, out of
-memory, or the report cannot be rendered or written.
+for a chosen candidate, the fiber decisions and the discontinuity probe's rows, dealt by stride, as jobs in
+forked workers, one per CPU. Renders one deterministic report (JSON, CSV for probe rows, or text), byte-identical
+for identical config and seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error, 3 over
+budget, out of memory, or the report cannot be rendered or written.
 """
 
 from __future__ import annotations
@@ -91,20 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinate and support suites, monad laws, fiber uniqueness, and "
         "the discontinuity probe.",
     )
-    parser.add_argument(
-        "command_pos",
-        nargs="?",
-        choices=COMMANDS,
-        metavar="command",
-        help="one of: " + ", ".join(COMMANDS) + " (default: all)",
-    )
-    parser.add_argument("--command", dest="command_flag", choices=COMMANDS, help="alternative to the positional command")
+    parser.add_argument("command", nargs="?", choices=COMMANDS, default="all", metavar="command",
+                        help="one of: " + ", ".join(COMMANDS) + " (default: all)")
     parser.add_argument("--n-range", metavar="LOW:HIGH", help="witness index range (default 1:16)")
     parser.add_argument("--grid", type=int, help="denominator bound for the sampled functions of lemmas (default 12); "
                         "subdivision for fiber (default 2, and 2 when all runs fiber); laws and probe ignore it")
     parser.add_argument("--samples", type=int, default=200, help="sample count per suite (default 200)")
     parser.add_argument("--seed", type=int, default=0, help="seed for all sampled suites (default 0)")
-    parser.add_argument("--candidate", default="diagonal", help="multiplication candidate name (default diagonal)")
+    parser.add_argument("--candidate", choices=CANDIDATES, default="diagonal",
+                        help="multiplication candidate (default diagonal)")
     parser.add_argument("--format", choices=FORMATS, default="text", help="report format (default text)")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     return parser
@@ -113,9 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: list[str]) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command_pos and ns.command_flag and ns.command_pos != ns.command_flag:
-        parser.error(f"conflicting commands: {ns.command_pos} vs {ns.command_flag}")
-    command = ns.command_pos or ns.command_flag or "all"
     n_range = (1, 16)
     if ns.n_range is not None:
         try:
@@ -130,14 +122,10 @@ def parse_config(argv: list[str]) -> RunConfig:
         parser.error("--samples must be at least 1")
     if ns.grid is not None and ns.grid < 1:
         parser.error("--grid must be at least 1")
-    if ns.candidate not in CANDIDATES:
-        parser.error(
-            f"unknown candidate {ns.candidate!r}; known: {', '.join(sorted(CANDIDATES))}"
-        )
-    if ns.format == "csv" and command != "probe":
+    if ns.format == "csv" and ns.command != "probe":
         parser.error("--format csv is defined only for the probe command")
     return RunConfig(
-        command=command,
+        command=ns.command,
         n_range=n_range,
         grid=ns.grid,
         samples=ns.samples,
@@ -155,21 +143,10 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _runs(lo: int, hi: int, width: int) -> list[range]:
-    """Rows lo..hi cut into min(width, rows) contiguous runs of about equal n summed, the probe budget's cost.
-    A run ends at the first row whose running sum reaches its share, or where each row left must start a run."""
-    width, total, cuts, seen = min(width, hi - lo + 1), (lo + hi) * (hi - lo + 1) // 2, [lo], 0
-    for n in range(lo, hi):
-        seen += n
-        if seen * width >= len(cuts) * total or hi - n <= width - len(cuts):
-            cuts.append(n + 1)
-    return [range(a, b) for a, b in zip(cuts, [*cuts[1:], hi + 1])]
-
-
 def _results(jobs: list[Callable]) -> list:
-    """Each job's value in job order, or the exception a serial run raises first. Of w = min(CPUs, jobs)
-    workers, forked child i runs ``jobs[i::w]`` and pipes back its pickled outcomes; this process runs the rest,
-    and the share of a child that could not be forked or died first."""
+    """Each job's value in job order, or the exception a serial run raises first, serial meaning the jobs run in
+    order in one process. Of w = min(CPUs, jobs) workers, forked child i runs ``jobs[i::w]`` and pipes back its
+    pickled outcomes; this process runs the rest, and the share of a child that could not be forked or died first."""
     width = max(1, min(_cpus(), len(jobs)))
 
     def share(start: int) -> list[tuple[int, bool, object]]:
@@ -243,8 +220,8 @@ def _plan(config: RunConfig) -> list[Callable]:
     if config.command == "probe":
         if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
             raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
-        mu = CANDIDATES[config.candidate]
-        return [partial(discontinuity_probe, mu, run[-1], run[0]) for run in _runs(lo, hi, _cpus())]
+        mu, width = CANDIDATES[config.candidate], min(_cpus(), hi - lo + 1)
+        return [partial(discontinuity_probe, mu, hi, lo + i, width) for i in range(width)]
     # lemma suites cost linear in --grid; the law suites run at fixed grids 8, 4 and 4, and are charged 12
     grid = (config.grid or 12) if config.command == "lemmas" else 12
     if samples * grid > DEFAULT_SAMPLE_BUDGET:
@@ -278,15 +255,16 @@ def run(config: RunConfig) -> tuple[int, Report]:
 
     A command runs its own plan over --n-range, and ``all`` runs the plans of its four parts: the lemmas, laws
     1..4, fiber 1..3 at grid 2 and probe 1..16, each checked and charged as it would run alone. Every plan is made,
-    so every budget checked, before any job runs; then all jobs run in one call, the probe's cut into one run per
-    CPU of about equal n summed. May raise :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
+    so every budget checked, before any job runs; then all jobs run in one call, the probe's as one job per CPU, job
+    i of w taking every w-th row from lo + i, and the probe rows are put back in n order. May raise
+    :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
     """
     parts = [config._replace(command=c, n_range=r, grid=g or config.grid) for c, r, g in _ALL]
     parts = parts if config.command == "all" else [config]
     results = _results([job for plan in map(_plan, parts) for job in plan])
     suites = tuple(result for result in results if isinstance(result, LawReport))
-    probe_rows = tuple(row for result in results if isinstance(result, list) for row in result)
-    report = Report(__version__, config.echo(), suites, probe_rows)
+    rows = sorted((row for result in results if isinstance(result, list) for row in result), key=lambda row: row.n)
+    report = Report(__version__, config.echo(), suites, tuple(rows))
     return (0 if report.passed else 1), report
 
 

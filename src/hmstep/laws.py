@@ -568,23 +568,25 @@ def forced_value_chain(n: int, mu: MuCandidate, seed: int = 0) -> LawReport:
     return LawReport(mu.name, "forced-value-chain", len(steps), tuple(failures), tuple(steps))
 
 
-def discontinuity_probe(mu: MuCandidate, n_max: int, n_min: int = 1) -> list[ProbeRow]:
+def discontinuity_probe(mu: MuCandidate, n_max: int, n_min: int = 1, step: int = 1) -> list[ProbeRow]:
     """Drive the nested bump tower toward its limit and watch the images.
 
-    For each n from n_min to n_max the row records the iterated-coordinate
-    gap and the level-2 metric distance between the tower member and the
-    limit (both shrink like 1/n), and the level-1 distance between their
-    images under the candidate. A candidate matching the forced values keeps
-    the image gap at 1, which is the continuity obstruction."""
+    For each n of n_min, n_min + step, ... up to n_max the row records the
+    iterated-coordinate gap and the level-2 metric distance between the tower
+    member and the limit (both shrink like 1/n), and the level-1 distance
+    between their images under the candidate. A candidate matching the forced
+    values keeps the image gap at 1, which is the continuity obstruction."""
     if not 1 <= n_min <= n_max:
         raise ValueError(f"the probe needs 1 <= n_min <= n_max, got {n_min}:{n_max}")
+    if step < 1:
+        raise ValueError(f"the probe needs step >= 1, got {step}")
     two_point = make_discrete_space(2, labels=(0, 1))
     ident = TestFn(two_point, (ZERO, ONE))
     limit = eta_h(unit(0, two_point))
     mu_limit = mu(limit)
     coord_limit = iterated_functional_eval(ident, FULL_WINDOW, FULL_WINDOW, limit)
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in range(n_min, n_max + 1, step):
         tower = nested_bumps_fn(n)
         coord_tower = iterated_functional_eval(ident, FULL_WINDOW, FULL_WINDOW, tower)
         rows.append(

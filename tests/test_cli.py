@@ -44,8 +44,6 @@ class TestParseConfig:
 
     def test_positional_and_flag_commands(self):
         assert parse_config(["probe"]).command == "probe"
-        assert parse_config(["--command", "fiber"]).command == "fiber"
-        assert parse_config(["laws", "--command", "laws"]).command == "laws"
 
     def test_n_range_parsing(self):
         assert parse_config(["probe", "--n-range", "2:9"]).n_range == (2, 9)

@@ -6,8 +6,8 @@ two and three workers on any host that can fork, and compare it with one
 worker: the same report bytes, the same exit code and the same stderr line,
 including when a job raises, when a child dies before it hands back its
 outcomes, when those outcomes cannot be pickled and when a fork fails. The
-probe's rows are cut into contiguous runs of about equal n summed, one job
-each, also when there are fewer rows than workers. After each command no
+probe's rows are dealt by stride, job i of w taking every w-th row from the
+first row plus i, also when there are fewer rows than workers. After each command no
 child process is left, and nothing forks while another thread runs.
 """
 
@@ -65,26 +65,29 @@ def test_reports_are_byte_identical_for_one_two_and_three_workers(monkeypatch, c
         assert _main(monkeypatch, capsys, workers, command) == serial, workers
 
 
-def test_the_probe_cut_is_contiguous_and_balanced():
+def test_the_probe_jobs_cover_each_row_once_and_are_balanced(monkeypatch):
+    # each job returns the n of its rows; rows lo..512 sum to at most the probe budget
+    monkeypatch.setattr(cli, "discontinuity_probe", lambda mu, hi, lo=1, step=1: list(range(lo, hi + 1, step)))
     rng = random.Random(20)
     for _ in range(3000):
         lo = rng.randint(1, 400)
-        hi, width = lo + rng.choice((0, 1, 2, 3, 7, 40, 400)), rng.randint(1, 9)
-        runs, total = cli._runs(lo, hi, width), sum(range(lo, hi + 1))
-        assert [n for run in runs for n in run] == list(range(lo, hi + 1)), (lo, hi, width)
-        assert all(runs) and len(runs) == min(width, hi - lo + 1), (lo, hi, width)
-        # each run's n summed lies within hi of the equal share total / width
-        assert all(abs(sum(run) * width - total) <= hi * width for run in runs), (lo, hi, width)
+        hi, width = min(lo + rng.choice((0, 1, 2, 3, 7, 40, 400)), 512), rng.randint(1, 9)
+        monkeypatch.setattr(cli, "_cpus", lambda: width)
+        jobs, total = [job() for job in cli._plan(cli.RunConfig("probe", (lo, hi)))], sum(range(lo, hi + 1))
+        assert sorted(n for job in jobs for n in job) == list(range(lo, hi + 1)), (lo, hi, width)
+        assert all(jobs) and len(jobs) == min(width, hi - lo + 1), (lo, hi, width)
+        # each job's n summed lies within hi of the equal share total / jobs
+        assert all(abs(sum(job) * len(jobs) - total) <= hi * len(jobs) for job in jobs), (lo, hi, width)
 
 
 def test_memory_error_in_the_second_probe_run_exits_three(monkeypatch, capsys):
     real, exhausted_at = cli.discontinuity_probe, 24
-    assert all(exhausted_at in cli._runs(1, 30, width)[1] for width in (2, 3))
+    assert all((exhausted_at - 1) % width != 0 for width in (2, 3))  # not in the first job, the parent's own
 
-    def probe(mu, n_max, n_min=1):
-        if n_min <= exhausted_at <= n_max:
+    def probe(mu, n_max, n_min=1, step=1):
+        if exhausted_at in range(n_min, n_max + 1, step):
             raise MemoryError
-        return real(mu, n_max, n_min)
+        return real(mu, n_max, n_min, step)
 
     monkeypatch.setattr(cli, "discontinuity_probe", probe)
     for workers in (1, 2, 3):
