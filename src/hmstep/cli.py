@@ -1,11 +1,13 @@
 """Batch verification front end.
 
-Plans a command as jobs once each budget it is charged (samples, forced chains, fiber, probe rows) is checked;
-``all`` plans its four parts as each would run alone. Then runs the coordinate/support suites, the monad-law suites
-for a chosen candidate, the fiber decisions and the discontinuity probe's rows, dealt by stride, as jobs in
-forked workers, one per CPU. Renders one deterministic report (JSON, CSV for probe rows, or text), byte-identical
-for identical config and seed. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error, 3 over
-budget, out of memory, or the report cannot be rendered or written.
+Each command-line policy is stated once here: ``RunConfig`` holds every default the parser reads and prints, and
+the four budgets sit beside the gate in ``_plan`` that charges them. Plans a command as jobs once each budget it
+is charged (samples, forced chains, fiber, probe rows) is checked; ``all`` plans its four parts as each would run
+alone. Then runs the coordinate/support suites, the monad-law suites for a chosen candidate, the fiber decisions
+and the discontinuity probe's rows, dealt by stride, as jobs in forked workers, one per CPU. Renders one
+deterministic report (JSON, CSV for probe rows, or text), byte-identical for identical config and seed, and writes
+it to stdout or --out in one checked write. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error,
+3 over budget, out of memory, or the report cannot be rendered or written (a full disk or a closed pipe included).
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from typing import BinaryIO, Callable, NamedTuple
 from . import __version__
 from .laws import (
     CANDIDATES,
-    DEFAULT_CHAIN_BUDGET,
-    DEFAULT_FIBER_BUDGET,
-    DEFAULT_PROBE_BUDGET,
-    DEFAULT_SAMPLE_BUDGET,
     BudgetError,
     LawReport,
     ProbeRow,
@@ -84,56 +82,42 @@ class Report(NamedTuple):
         }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_config(argv: list[str]) -> RunConfig:
+    """The config of one command line; each default is ``RunConfig``'s, with --n-range's written LOW:HIGH."""
     parser = argparse.ArgumentParser(
         prog="hmstep",
         description="Exact verification harness for step-function spaces: "
         "coordinate and support suites, monad laws, fiber uniqueness, and "
         "the discontinuity probe.",
     )
-    parser.add_argument("command", nargs="?", choices=COMMANDS, default="all", metavar="command",
-                        help="one of: " + ", ".join(COMMANDS) + " (default: all)")
-    parser.add_argument("--n-range", metavar="LOW:HIGH", help="witness index range (default 1:16)")
+    parser.add_argument("command", nargs="?", choices=COMMANDS, metavar="command",
+                        help="one of: " + ", ".join(COMMANDS) + " (default: %(default)s)")
+    parser.add_argument("--n-range", metavar="LOW:HIGH", help="witness index range (default %(default)s)")
     parser.add_argument("--grid", type=int, help="denominator bound for the sampled functions of lemmas (default 12); "
                         "subdivision for fiber (default 2, and 2 when all runs fiber); laws and probe ignore it")
-    parser.add_argument("--samples", type=int, default=200, help="sample count per suite (default 200)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all sampled suites (default 0)")
-    parser.add_argument("--candidate", choices=CANDIDATES, default="diagonal",
-                        help="multiplication candidate (default diagonal)")
-    parser.add_argument("--format", choices=FORMATS, default="text", help="report format (default text)")
+    parser.add_argument("--samples", type=int, help="sample count per suite (default %(default)s)")
+    parser.add_argument("--seed", type=int, help="seed for all sampled suites (default %(default)s)")
+    parser.add_argument("--candidate", choices=CANDIDATES, help="multiplication candidate (default %(default)s)")
+    parser.add_argument("--format", choices=FORMATS, help="report format (default %(default)s)")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
-    return parser
-
-
-def parse_config(argv: list[str]) -> RunConfig:
-    parser = build_parser()
+    defaults = RunConfig._field_defaults
+    parser.set_defaults(**{**defaults, "n_range": "%d:%d" % defaults["n_range"]})
     ns = parser.parse_args(argv)
-    n_range = (1, 16)
-    if ns.n_range is not None:
-        try:
-            lo_text, hi_text = ns.n_range.split(":", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            parser.error(f"--n-range expects LOW:HIGH, got {ns.n_range!r}")
-        if lo < 1 or hi < lo:
-            parser.error(f"--n-range needs 1 <= LOW <= HIGH, got {ns.n_range!r}")
-        n_range = (lo, hi)
+    try:
+        lo_text, hi_text = ns.n_range.split(":", 1)
+        lo, hi = int(lo_text), int(hi_text)
+    except ValueError:
+        parser.error(f"--n-range expects LOW:HIGH, got {ns.n_range!r}")
+    if lo < 1 or hi < lo:
+        parser.error(f"--n-range needs 1 <= LOW <= HIGH, got {ns.n_range!r}")
     if ns.samples < 1:
         parser.error("--samples must be at least 1")
     if ns.grid is not None and ns.grid < 1:
         parser.error("--grid must be at least 1")
     if ns.format == "csv" and ns.command != "probe":
         parser.error("--format csv is defined only for the probe command")
-    return RunConfig(
-        command=ns.command,
-        n_range=n_range,
-        grid=ns.grid,
-        samples=ns.samples,
-        seed=ns.seed,
-        candidate=ns.candidate,
-        format=ns.format,
-        out=ns.out,
-    )
+    ns.n_range = lo, hi
+    return RunConfig(**vars(ns))
 
 
 def _cpus() -> int:
@@ -202,6 +186,16 @@ def _results(jobs: list[Callable]) -> list:
 # the parts of ``all`` as (command, n_range, grid), each planned as it would run alone; grid None keeps --grid
 _ALL = (("lemmas", (1, 16), None), ("laws", (1, 4), None), ("fiber", (1, 3), 2), ("probe", (1, 16), None))
 
+# the budgets _plan charges a command before any job runs
+DEFAULT_FIBER_BUDGET = 1_000_000  # n cubed times grid at the largest n of fiber: 100 at grid 1, 79 at grid 2
+# samples times the grid each command is charged per sample: --grid for lemmas, whose suites cost linear in it;
+# 12 for laws, whose suites run at laws' fixed grids 8, 4 and 4. all charges its lemma and law parts as each
+# would run alone. 1000 samples at the default grid 12
+DEFAULT_SAMPLE_BUDGET = 12_000
+# n summed over the probe's rows, each linear in n: exactly probe 1..512
+DEFAULT_PROBE_BUDGET = 512 * 513 // 2
+DEFAULT_CHAIN_BUDGET = 9_000_000  # n squared summed over the chains of laws --n-range: 1..299, or 3000 alone
+
 
 def _plan(config: RunConfig) -> list[Callable]:
     """One command's jobs over its --n-range, none run, once each budget it is charged is checked. A job returns
@@ -222,7 +216,6 @@ def _plan(config: RunConfig) -> list[Callable]:
             raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
         mu, width = CANDIDATES[config.candidate], min(_cpus(), hi - lo + 1)
         return [partial(discontinuity_probe, mu, hi, lo + i, width) for i in range(width)]
-    # lemma suites cost linear in --grid; the law suites run at fixed grids 8, 4 and 4, and are charged 12
     grid = (config.grid or 12) if config.command == "lemmas" else 12
     if samples * grid > DEFAULT_SAMPLE_BUDGET:
         raise BudgetError(f"samples times grid ({samples} x {grid}) is over the budget of {DEFAULT_SAMPLE_BUDGET}")
@@ -327,14 +320,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         # unreached from a valid config: every command reports, and the gate refuses a count too long to print
         return _refuse(f"cannot render the report: {exc}")
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:  # a full disk or a closed pipe fails here, at the flush, and not at exit
+        if config.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
-            return _refuse(f"cannot write report: {exc}")
+    except OSError as exc:
+        return _refuse(f"cannot write report: {exc}")
     return code
 
 

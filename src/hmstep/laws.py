@@ -77,15 +77,7 @@ CANDIDATES: dict[str, MuCandidate] = {
     c.name: c for c in (DIAGONAL, CONSTANT_LEFT, REMAP_LAST)
 }
 
-DEFAULT_FIBER_BUDGET = 1_000_000  # n cubed times grid at the largest n of fiber: 100 at grid 1, 79 at grid 2
-# samples times the grid each command is charged per sample: --grid for lemmas, whose suites
-# cost linear in it; 12 for laws, whose suites run at the fixed grids below. all charges its
-# lemma and law parts as each would run alone. 1000 samples at the default grid 12
-DEFAULT_SAMPLE_BUDGET = 12_000
 _UNIT_GRID, _ASSOCIATIVITY_GRID, _NATURALITY_GRID = 8, 4, 4
-# n summed over the probe's rows, each linear in n: exactly probe 1..512
-DEFAULT_PROBE_BUDGET = 512 * 513 // 2
-DEFAULT_CHAIN_BUDGET = 9_000_000  # n squared summed over the chains of laws --n-range: 1..299, or 3000 alone
 
 
 class BudgetError(RuntimeError):
@@ -287,19 +279,12 @@ def _space_tag(space: FiniteSpace) -> str:
 def fixed_rational_space() -> FiniteSpace:
     """A four-point space with non-uniform rational distances in [1/2, 1],
     so every triangle closes; exercises the non-discrete metric paths."""
-    d = {
-        (1, 2): Rat(1, 2), (1, 3): Rat(3, 4), (1, 4): ONE,
-        (2, 3): Rat(2, 3), (2, 4): Rat(5, 6), (3, 4): Rat(7, 12),
-    }
-    labels = (1, 2, 3, 4)
-    rows = tuple(
-        tuple(
-            ZERO if a == b else d.get((a, b)) or d[(b, a)]
-            for b in labels
-        )
-        for a in labels
-    )
-    return FiniteSpace(labels, rows)
+    return FiniteSpace((1, 2, 3, 4), (
+        ("0", "1/2", "3/4", "1"),
+        ("1/2", "0", "2/3", "5/6"),
+        ("3/4", "2/3", "0", "7/12"),
+        ("1", "5/6", "7/12", "0"),
+    ))
 
 
 def default_spaces(max_size: int = 4) -> list[FiniteSpace]:

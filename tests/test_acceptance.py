@@ -15,9 +15,8 @@ from pathlib import Path
 
 import hmstep
 
-from hmstep.cli import emit_report, parse_config, run
+from hmstep.cli import DEFAULT_PROBE_BUDGET, emit_report, parse_config, run
 from hmstep.laws import (
-    DEFAULT_PROBE_BUDGET,
     check_associativity,
     check_coordinate_naturality,
     check_linearity,

@@ -2,9 +2,10 @@
 
 Read from the source with ``ast``, in the style of ``test_grid_owner``:
 only ``cli`` raises ``BudgetError`` or any subclass of it, from its one
-gate before any job, and no function in ``laws`` takes a ``budget``
-parameter, so no library call keeps a budget of its own beside the
-command line's.
+gate before any job; ``laws`` assigns no module-level ``*_BUDGET`` name,
+as the budgets are defined in ``cli`` beside that gate; and no function in
+``laws`` takes a ``budget`` parameter, so no library call keeps a budget of
+its own beside the command line's.
 """
 
 from __future__ import annotations
@@ -45,3 +46,12 @@ def test_no_laws_function_takes_a_budget():
             args = fn.args
             names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
             assert "budget" not in names, f"laws.{fn.name} takes a budget"
+
+
+def test_laws_defines_no_budget():
+    assigned = set()
+    for node in _tree("laws").body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned |= {name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+    assert "CANDIDATES" in assigned and not {name for name in assigned if name.endswith("_BUDGET")}

@@ -14,14 +14,19 @@ import pytest
 
 import hmstep
 from hmstep import cli
-from hmstep.cli import Report, RunConfig, emit_report, main, parse_config, run
-from hmstep.laws import (
+from hmstep.cli import (
     DEFAULT_CHAIN_BUDGET,
     DEFAULT_FIBER_BUDGET,
     DEFAULT_PROBE_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
-    LawReport,
+    Report,
+    RunConfig,
+    emit_report,
+    main,
+    parse_config,
+    run,
 )
+from hmstep.laws import LawReport
 from test_fiber_factored import TIMED_MAIN, _limit_memory
 
 SRC = str(Path(hmstep.__file__).resolve().parent.parent)
@@ -41,6 +46,17 @@ class TestParseConfig:
         assert cfg.samples == 200 and cfg.seed == 0
         assert cfg.candidate == "diagonal" and cfg.format == "text"
         assert cfg.grid is None and cfg.out is None
+
+    def test_help_shows_the_run_config_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--help"])
+        assert exc.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())  # argparse wraps the help to the terminal's width
+        defaults = RunConfig._field_defaults
+        assert f"(default: {defaults['command']})" in shown and "(default 1:16)" in shown
+        assert defaults["n_range"] == (1, 16)
+        for key in ("samples", "seed", "candidate", "format"):
+            assert f"(default {defaults[key]})" in shown, key
 
     def test_positional_and_flag_commands(self):
         assert parse_config(["probe"]).command == "probe"

@@ -31,3 +31,32 @@ def test_exit_codes(args, code):
         assert "hmstep: error: --n-range" in done.stderr
     else:
         assert done.stdout
+
+
+def _probe_to(stdout) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "hmstep", "probe", "--n-range", "1:3"],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+def _assert_write_refused(done: subprocess.CompletedProcess) -> None:
+    lines = done.stderr.splitlines()
+    assert done.returncode == 3, done.stderr
+    assert len(lines) == 1 and lines[0].startswith("hmstep: cannot write report:"), done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_report_to_a_full_device_exits_3():
+    with open("/dev/full", "w") as full:
+        _assert_write_refused(_probe_to(full))
+
+
+def test_report_to_a_closed_pipe_exits_3():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader, before the child starts: its first write fails
+    try:
+        _assert_write_refused(_probe_to(write_end))
+    finally:
+        os.close(write_end)
