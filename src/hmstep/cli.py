@@ -320,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         # unreached from a valid config: every command reports, and the gate refuses a count too long to print
         return _refuse(f"cannot render the report: {exc}")
-    try:  # a full disk or a closed pipe fails here, at the flush, and not at exit
+    try:  # a full disk or a closed pipe fails here, at the write or the flush
         if config.out is None:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -328,6 +328,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except OSError as exc:
+        if config.out is None:  # drop what stdout's buffer still holds, or its flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _refuse(f"cannot write report: {exc}")
     return code
 

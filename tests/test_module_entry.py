@@ -33,8 +33,11 @@ def test_exit_codes(args, code):
         assert done.stdout
 
 
-def _probe_to(stdout) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def _probe_to(stdout, buffered: bool) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "hmstep", "probe", "--n-range", "1:3"],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
@@ -47,16 +50,22 @@ def _assert_write_refused(done: subprocess.CompletedProcess) -> None:
     assert len(lines) == 1 and lines[0].startswith("hmstep: cannot write report:"), done.stderr
 
 
+# a block-buffered stdout keeps the report after the failed flush and tries it again at exit
+STDOUT_MODES = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-def test_report_to_a_full_device_exits_3():
+@STDOUT_MODES
+def test_report_to_a_full_device_exits_3(buffered):
     with open("/dev/full", "w") as full:
-        _assert_write_refused(_probe_to(full))
+        _assert_write_refused(_probe_to(full, buffered))
 
 
-def test_report_to_a_closed_pipe_exits_3():
+@STDOUT_MODES
+def test_report_to_a_closed_pipe_exits_3(buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader, before the child starts: its first write fails
     try:
-        _assert_write_refused(_probe_to(write_end))
+        _assert_write_refused(_probe_to(write_end, buffered))
     finally:
         os.close(write_end)
