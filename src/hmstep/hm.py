@@ -117,12 +117,11 @@ class _RuleMap(SpaceMap):
         return tuple(map(self.rule, self.source.labels))
 
 
-def product_projections(
-    prod: FiniteSpace, x: FiniteSpace, y: FiniteSpace
-) -> tuple[SpaceMap, SpaceMap]:
-    """The two coordinate projections of ``core.product_space(x, y)``, as rules."""
-    if getattr(prod, "factors", None) != (x, y):
-        raise ValueError("projections need the product of the two given spaces")
+def product_projections(prod: FiniteSpace) -> tuple[SpaceMap, SpaceMap]:
+    """The two coordinate projections of ``core.product_space(x, y)``, as rules onto the factors it keeps."""
+    x, y = getattr(prod, "factors", (None, None))
+    if x is None:
+        raise ValueError("projections need a product space, which keeps its factors")
     return _RuleMap(prod, x, itemgetter(0)), _RuleMap(prod, y, itemgetter(1))
 
 

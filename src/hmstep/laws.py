@@ -162,22 +162,19 @@ class Witnesses(NamedTuple):
     """The staircase family over the n-point base and its two-point collapse.
 
     ``staircase`` takes value i on the i-th of n equal blocks. The paired
-    versions live over the product of the base with itself:
-    ``diagonal_staircase`` takes (i, i) on block i; ``nested_rows`` carries on
-    block i the row staircase ``row_staircases[i-1]``, sweeping (i, 1..n), and
-    ``nested_bumps`` the two-point indicator ``bumps[i-1]`` of block i; distinct
-    blocks never merge, so both tuples are the level-2 towers' values.
+    versions live over the product of the base with itself and hold the base's
+    own label objects: ``diagonal_staircase`` takes (i, i) on block i;
+    ``nested_rows`` carries on block i the row staircase sweeping (i, 1..n),
+    and ``nested_bumps`` the two-point indicator of block i. Distinct blocks
+    never merge, so a tower's ``values`` are its n rows, in block order.
     """
 
-    n: int
     base: FiniteSpace
     pairs: FiniteSpace
     two_point: FiniteSpace
     staircase: StepFn
     diagonal_staircase: StepFn
-    row_staircases: tuple[StepFn, ...]
     nested_rows: StepFn2
-    bumps: tuple[StepFn, ...]
     nested_bumps: StepFn2
     left_proj: SpaceMap
     right_proj: SpaceMap
@@ -212,26 +209,24 @@ def build_witnesses(n: int) -> Witnesses:
     base = make_discrete_space(n)
     pairs = product_space(base, base)
     two_point = make_discrete_space(2, labels=(0, 1))
-    left_proj, right_proj = product_projections(pairs, base, base)
+    left_proj, right_proj = product_projections(pairs)
     equality_collapse = _RuleMap(pairs, two_point, lambda p: 1 if p[0] == p[1] else 0)
     staircase = staircase_fn(n)
-    diagonal_staircase = blocks((i, i) for i in range(1, n + 1))
-    nested_rows = blocks(blocks(zip(repeat(i, n), range(1, n + 1))) for i in range(1, n + 1))
+    labels = base.labels
+    diagonal_staircase = blocks(zip(labels, labels))
+    nested_rows = blocks(blocks(zip(repeat(i, n), labels)) for i in labels)
     nested_bumps = nested_bumps_fn(n)
     if any(hm_map(proj, diagonal_staircase) != staircase for proj in (left_proj, right_proj)):
         raise RuntimeError("witness identity broken: projections of the diagonal staircase")
     if h2_map(equality_collapse, nested_rows) != nested_bumps:
         raise RuntimeError("witness identity broken: collapse of the nested rows")
     return Witnesses(
-        n=n,
         base=base,
         pairs=pairs,
         two_point=two_point,
         staircase=staircase,
         diagonal_staircase=diagonal_staircase,
-        row_staircases=nested_rows.values,
         nested_rows=nested_rows,
-        bumps=nested_bumps.values,
         nested_bumps=nested_bumps,
         left_proj=left_proj,
         right_proj=right_proj,
@@ -512,12 +507,12 @@ def fiber_uniqueness(n: int, grid: int) -> FiberResult:
     if n < 1 or grid < 1:
         raise ValueError("n and grid must be at least 1")
     base = make_discrete_space(n)
-    left_proj, right_proj = product_projections(product_space(base, base), base, base)
+    left_proj, right_proj = product_projections(product_space(base, base))
     staircase = staircase_fn(n)
     paired = pairing(staircase, staircase)
     if hm_map(left_proj, paired) != staircase or hm_map(right_proj, paired) != staircase:
         raise RuntimeError("pairing and functor action disagree; the pairing is buggy")
-    witnesses = () if paired == blocks((i, i) for i in range(1, n + 1)) else (paired,)
+    witnesses = () if paired == blocks(zip(base.labels, base.labels)) else (paired,)
     return FiberResult(n=n, grid=grid, witnesses=witnesses, checked=(n * n) ** (n * grid))
 
 

@@ -263,11 +263,11 @@ def test_13_chain_memory():
     assert proc.returncode == 0, proc.stderr.decode()
     verdict, held, kb = proc.stdout.split()
     peak_mb = int(kb) / 1024
-    ok = verdict == b"pass" and int(held) == 5 and peak_mb < 160
+    ok = verdict == b"pass" and int(held) == 5 and peak_mb < 130
     _finish(
         "chain-memory",
         ok,
         elapsed,
         10.0,
-        f"forced_value_chain(1000) holds all five steps at {peak_mb:.0f} MB max RSS (limit 160 MB)",
+        f"forced_value_chain(1000) holds all five steps at {peak_mb:.0f} MB max RSS (limit 130 MB)",
     )

@@ -133,7 +133,7 @@ class TestHmMap:
 
     def test_projecting_the_diagonal_staircase(self):
         p = product_space(K3, K3)
-        pr1, pr2 = product_projections(p, K3, K3)
+        pr1, pr2 = product_projections(p)
         grid = tuple(Fraction(i, 3) for i in range(4))
         diag = StepFn(grid, ((1, 1), (2, 2), (3, 3)))
         assert hm_map(pr1, diag) == staircase(3)

@@ -55,7 +55,7 @@ class TestWitnesses:
         w = build_witnesses(n)
         assert w.staircase.pieces == n
         assert w.diagonal_staircase.pieces == n
-        assert len(w.row_staircases) == n and len(w.bumps) == n
+        assert len(w.nested_rows.values) == n and len(w.nested_bumps.values) == n
         assert hm_map(w.left_proj, w.diagonal_staircase) == w.staircase
         assert hm_map(w.right_proj, w.diagonal_staircase) == w.staircase
         assert h2_map(w.equality_collapse, w.nested_rows) == w.nested_bumps
@@ -64,6 +64,17 @@ class TestWitnesses:
         # with a single block the bump never drops back to 0
         w = build_witnesses(1)
         assert w.nested_bumps == eta_h(unit(1, w.two_point))
+
+    def test_paired_witnesses_hold_the_base_labels(self):
+        # 300 is past CPython's cached small ints, so an int built apart from the base's is another object
+        w = build_witnesses(300)
+        labels = w.base.labels
+        diagonal, rows = w.diagonal_staircase.values, w.nested_rows.values
+        assert len(diagonal) == len(rows) == len(labels) == 300
+        assert all(a is b is lab for (a, b), lab in zip(diagonal, labels))
+        assert all(
+            a is i and b is lab for i, row in zip(labels, rows) for (a, b), lab in zip(row.values, labels, strict=True)
+        )
 
     def test_nested_rows_project_to_the_two_nestings(self):
         w = build_witnesses(4)

@@ -80,7 +80,7 @@ def test_projections_of_the_pairing_are_its_factors(case):
     x, y, f1, f2 = case
     prod = product_space(x, y)
     assert (prod.dist is None) == (x.dist is None and y.dist is None)
-    left, right = product_projections(prod, x, y)
+    left, right = product_projections(prod)
     p = pairing(f1, f2)
     assert all(v in prod for v in p.values)
     assert hm_map(left, p) == canonicalize(f1)
@@ -105,5 +105,5 @@ def grid_cases(draw):
 def test_brute_force_finds_the_pairing_alone(case):
     x, y, f1, f2, cells = case
     prod = product_space(x, y)
-    left, right = product_projections(prod, x, y)
+    left, right = product_projections(prod)
     assert grid_fiber(prod, left, right, f1, f2, cells) == {pairing(f1, f2)}

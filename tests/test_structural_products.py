@@ -197,7 +197,7 @@ def test_rule_maps_agree_with_tuple_maps(n):
         out = SpaceMap(rule.target, make_discrete_space(3), tuple(rng.randint(1, 3) for _ in rule.target.labels))
         assert _after(out, rule) == _after(out, tup)
         assert _after(rule, into_pairs) == _after(tup, into_pairs)
-        for f in (w.diagonal_staircase, *w.row_staircases, random_stepfn(w.pairs, 7, rng)):
+        for f in (w.diagonal_staircase, *w.nested_rows.values, random_stepfn(w.pairs, 7, rng)):
             assert hm_map(rule, f) == hm_map(tup, f)
         F = random_stepfn2(w.pairs, 3, 4, rng)
         assert h2_map(rule, F) == h2_map(tup, F)
@@ -221,8 +221,7 @@ def test_tuple_constructor_still_validates():
 def test_projections_need_the_product_of_their_factors():
     k2, k3 = make_discrete_space(2), make_discrete_space(3)
     p = product_space(k2, k3)
-    left, right = product_projections(p, k2, k3)
+    left, right = product_projections(p)
     assert (left.target, right.target) == (k2, k3)
-    for args in ((p, k3, k2), (p, k2, k2), (FiniteSpace(p.labels), k2, k3)):
-        with pytest.raises(ValueError):
-            product_projections(*args)
+    with pytest.raises(ValueError):
+        product_projections(FiniteSpace(p.labels))

@@ -86,7 +86,7 @@ class TestH2Map:
     def test_projections_of_nested_rows(self):
         # first coordinate is constant per row, second sweeps the staircase
         p = product_space(K3, K3)
-        pr1, pr2 = product_projections(p, K3, K3)
+        pr1, pr2 = product_projections(p)
         A = nested_rows(3)
         assert h2_map(pr1, A) == h_eta(staircase(3))
         assert h2_map(pr2, A) == eta_h(staircase(3))

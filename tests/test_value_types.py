@@ -114,7 +114,7 @@ def test_products_and_rule_maps_keep_their_equality():
     explicit = FiniteSpace(prod.labels)
     assert prod == explicit and explicit == prod and hash(prod) == hash(explicit)
     assert repr(prod).startswith("ProductSpace(labels=((1, 1), (1, 2)")
-    left, _ = product_projections(prod, SPACE, SPACE)
+    left, _ = product_projections(prod)
     as_tuple_map = SpaceMap(prod, SPACE, left.assignment)
     assert left != as_tuple_map and as_tuple_map != left
     with pytest.raises(AttributeError):
@@ -169,11 +169,11 @@ class TestRecords:
     def test_witnesses(self):
         w = build_witnesses(3)
         assert isinstance(w, Witnesses)
-        assert w.n == 3 and w.base == SPACE and len(w.row_staircases) == 3 and len(w.bumps) == 3
+        assert w.base.n == 3 and w.base == SPACE and len(w.nested_rows.values) == 3 and len(w.nested_bumps.values) == 3
         assert w.pairs == product_space(SPACE, SPACE) and w.two_point.labels == (0, 1)
         assert w == build_witnesses(3)
         with pytest.raises(AttributeError):
-            w.n = 4
+            w.base = SPACE
 
     def test_functional(self):
         phi = TestFn(SPACE, (1, 0, 0))
