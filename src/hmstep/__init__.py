@@ -26,7 +26,6 @@ from .stepfn import (
     random_stepfn,
 )
 from .hm import (
-    Functional,
     SpaceMap,
     d_hm,
     functional_eval,

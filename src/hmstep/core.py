@@ -176,20 +176,13 @@ def validate_metric(space: FiniteSpace) -> None:
                     raise ValueError(f"triangle inequality fails at {x!r}, {y!r} via {z!r}")
 
 
-def make_discrete_space(n: int, labels: tuple | None = None) -> FiniteSpace:
-    """The n-point space in which all distinct points are at distance 1.
-
-    Labels default to 1..n; pass ``labels`` to override (e.g. ``(0, 1)`` for
-    the two-point space used by the discontinuity probe). No table is stored.
-    """
+def make_discrete_space(n: int) -> FiniteSpace:
+    """The discrete space on the labels 1..n: distinct points at distance 1,
+    no table stored. ``FiniteSpace(labels)`` is the discrete space on any
+    other labels."""
     if n < 1:
         raise ValueError("a discrete space needs at least one point")
-    if labels is None:
-        labels = tuple(range(1, n + 1))
-    labels = tuple(labels)
-    if len(labels) != n:
-        raise ValueError("label count must match n")
-    return FiniteSpace(labels)
+    return FiniteSpace(range(1, n + 1))
 
 
 class _PairIndex:

@@ -1,7 +1,7 @@
 """The step-function space over a finite base metric.
 
-Provides the integral metric d_hm, window-average coordinates (a test
-function averaged over a window), the functor action of a point map, the
+Provides the integral metric d_hm, the window-average coordinates
+``functional_eval(phi, window, f)``, the functor action of a point map, the
 pairing of two functions (``stepfn.pairing``, re-exported), the
 constant-function unit, and exact support predicates.
 Each operation checks its points against the base space and then calls a
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from operator import itemgetter
-from typing import NamedTuple
 
 from .core import (
     FULL_WINDOW,
@@ -62,15 +61,6 @@ def _distance_ratios(space: FiniteSpace) -> Callable[[object, object], tuple[int
 def _weight_ratios(phi: TestFn, points: Iterable) -> Callable[[object], tuple[int, int]]:
     """phi on checked points as exact (num, den) int pairs, each point converted once."""
     return {x: phi(x).as_integer_ratio() for x in points}.__getitem__
-
-
-class Functional(NamedTuple):
-    """A window-average coordinate: a test function plus the window it is
-    averaged over. Applied to a step function f it yields the mean of
-    phi(f(t)) for t in the window."""
-
-    phi: TestFn
-    window: Window
 
 
 class SpaceMap(Frozen):
@@ -142,10 +132,10 @@ def d_hm(space: FiniteSpace, f: StepFn, g: StepFn) -> Rat:
     return Rat(*refinement_ratio(f, g, _distance_ratios(space)))
 
 
-def functional_eval(fnl: Functional, f: StepFn) -> Rat:
-    """Exact mean of phi(f(t)) over the functional's window."""
-    weight = _weight_ratios(fnl.phi, _check_points(fnl.phi.space, f.values))
-    return Rat(*window_ratio(f, weight, fnl.window))
+def functional_eval(phi: TestFn, window: Window, f: StepFn) -> Rat:
+    """The window-average coordinate: the exact mean of phi(f(t)) over the window."""
+    weight = _weight_ratios(phi, _check_points(phi.space, f.values))
+    return Rat(*window_ratio(f, weight, window))
 
 
 def hm_map(h: SpaceMap, f: StepFn) -> StepFn:

@@ -34,7 +34,6 @@ from .core import (
     product_space,
 )
 from .hm import (
-    Functional,
     SpaceMap,
     _RuleMap,
     compose_testfn,
@@ -208,7 +207,7 @@ def build_witnesses(n: int) -> Witnesses:
         raise ValueError("witness index must be at least 1")
     base = make_discrete_space(n)
     pairs = product_space(base, base)
-    two_point = make_discrete_space(2, labels=(0, 1))
+    two_point = FiniteSpace((0, 1))
     left_proj, right_proj = product_projections(pairs)
     equality_collapse = _RuleMap(pairs, two_point, lambda p: 1 if p[0] == p[1] else 0)
     staircase = staircase_fn(n)
@@ -307,8 +306,8 @@ def check_linearity(spaces: list[FiniteSpace], samples: int, seed: int, grid: in
         lam2 = _random_rats(rng, 1)[0]
         w = _random_window(rng, grid)
         combo = phi1.scaled(lam1) + phi2.scaled(lam2)
-        left = functional_eval(Functional(combo, w), f)
-        right = lam1 * functional_eval(Functional(phi1, w), f) + lam2 * functional_eval(Functional(phi2, w), f)
+        left = functional_eval(combo, w, f)
+        right = lam1 * functional_eval(phi1, w, f) + lam2 * functional_eval(phi2, w, f)
         return _differs(right, left, lambda: f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
                         f"lams=({lam1},{lam2}) phi1={format_value(phi1.values)} phi2={format_value(phi2.values)}")
 
@@ -324,8 +323,8 @@ def check_monotonicity(spaces: list[FiniteSpace], samples: int, seed: int, grid:
         delta = TestFn(space, _random_rats(rng, space.n, lo=0))
         phi2 = phi1 + delta
         w = _random_window(rng, grid)
-        low = functional_eval(Functional(phi1, w), f)
-        high = functional_eval(Functional(phi2, w), f)
+        low = functional_eval(phi1, w, f)
+        high = functional_eval(phi2, w, f)
         if low > high:
             yield LawFailure(f"{_space_tag(space)} f={format_stepfn(f)} window=({w.a},{w.b}) "
                              f"phi1={format_value(phi1.values)} phi2={format_value(phi2.values)}", f"<= {high}", str(low))
@@ -342,8 +341,8 @@ def check_coordinate_naturality(samples: int, seed: int, grid: int = 12) -> LawR
         phi = TestFn(dst, _random_rats(rng, dst.n))
         w = _random_window(rng, grid)
         f = random_stepfn(src, rng.randint(1, grid), rng)
-        left = functional_eval(Functional(phi, w), hm_map(h, f))
-        right = functional_eval(Functional(compose_testfn(phi, h), w), f)
+        left = functional_eval(phi, w, hm_map(h, f))
+        right = functional_eval(compose_testfn(phi, h), w, f)
         return _differs(right, left, lambda: f"map={h.assignment} f={format_stepfn(f)} window=({w.a},{w.b}) "
                         f"phi={format_value(phi.values)}")
 
@@ -357,7 +356,7 @@ def check_unit_coordinate(spaces: list[FiniteSpace], samples: int, seed: int) ->
         x = rng.choice(space.labels)
         phi = TestFn(space, _random_rats(rng, space.n))
         w = _random_window(rng)
-        got = functional_eval(Functional(phi, w), unit(x, space))
+        got = functional_eval(phi, w, unit(x, space))
         describe = lambda: f"{_space_tag(space)} x={x} window=({w.a},{w.b}) phi={format_value(phi.values)}"
         return _differs(phi(x), got, describe)
 
@@ -560,7 +559,7 @@ def discontinuity_probe(mu: MuCandidate, n_max: int, n_min: int = 1, step: int =
         raise ValueError(f"the probe needs 1 <= n_min <= n_max, got {n_min}:{n_max}")
     if step < 1:
         raise ValueError(f"the probe needs step >= 1, got {step}")
-    two_point = make_discrete_space(2, labels=(0, 1))
+    two_point = FiniteSpace((0, 1))
     ident = TestFn(two_point, (ZERO, ONE))
     limit = eta_h(unit(0, two_point))
     mu_limit = mu(limit)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from math import gcd, lcm
 from operator import ne
 from typing import NamedTuple
@@ -325,21 +325,14 @@ def blocks(values: Iterable) -> StepFn:
     return _canonical(len(values), enumerate(values, 1))
 
 
-def random_stepfn(
-    domain: FiniteSpace | Sequence,
-    grid_denominator: int,
-    seed: int | random.Random,
-) -> StepFn:
+def random_stepfn(space: FiniteSpace, grid_denominator: int, seed: int | random.Random) -> StepFn:
     """A canonical step function with breakpoints on the 1/grid grid and
-    values drawn uniformly from the domain. Deterministic for a fixed seed;
-    pass a ``random.Random`` to draw many functions from one stream."""
+    values drawn uniformly from the space's points. Deterministic for a fixed
+    seed; pass a ``random.Random`` to draw many functions from one stream."""
     if grid_denominator < 1:
         raise ValueError("grid denominator must be at least 1")
-    pool = domain.labels if isinstance(domain, FiniteSpace) else tuple(domain)
-    if not pool:
-        raise ValueError("domain must be nonempty")
     rng = as_rng(seed)
-    return blocks(rng.choice(pool) for _ in range(grid_denominator))
+    return blocks(rng.choice(space.labels) for _ in range(grid_denominator))
 
 
 # Text serialization: breakpoints and values alternate, "t_0 v_1 t_1 ... t_k".

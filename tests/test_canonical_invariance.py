@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hmstep.core import FiniteSpace, TestFn, Window
-from hmstep.hm import Functional, SpaceMap, d_hm, functional_eval, hm_map
+from hmstep.hm import SpaceMap, d_hm, functional_eval, hm_map
 from hmstep.laws import default_spaces
 from hmstep.stepfn import StepFn, canonicalize, common_refinement, random_stepfn
 from hmstep.tower import (
@@ -90,8 +90,7 @@ def test_coordinates_at_both_levels(space, rng):
     phi = TestFn(space, tuple(Fraction(rng.randint(-3, 3)) for _ in space.labels))
     inner, outer = window(rng), window(rng)
     f = sample(space, 1, rng)
-    fnl = Functional(phi, inner)
-    assert functional_eval(fnl, raw(f, space, 1, rng)) == functional_eval(fnl, f)
+    assert functional_eval(phi, inner, raw(f, space, 1, rng)) == functional_eval(phi, inner, f)
     F = sample(space, 2, rng)
     assert iterated_functional_eval(phi, inner, outer, raw(F, space, 2, rng)) == (
         iterated_functional_eval(phi, inner, outer, F)

@@ -71,7 +71,7 @@ class TestDiscreteSpace:
         assert k1.n == 1 and k1.distance(1, 1) == 0
 
     def test_labels_override(self):
-        d = make_discrete_space(2, labels=(0, 1))
+        d = FiniteSpace((0, 1))
         assert d.labels == (0, 1)
         assert d.distance(0, 1) == 1
 

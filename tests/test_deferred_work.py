@@ -29,7 +29,7 @@ import pytest
 
 from hmstep import laws, stepfn, tower
 from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space
-from hmstep.hm import Functional, _check_points, d_hm, functional_eval, hm_map, pairing, unit
+from hmstep.hm import _check_points, d_hm, functional_eval, hm_map, pairing, unit
 from hmstep.laws import build_witnesses, fixed_rational_space, forced_value_chain, nested_bumps_fn
 from hmstep.stepfn import StepFn, blocks, constant, evaluate, format_stepfn
 from hmstep.tower import (
@@ -113,7 +113,7 @@ def test_constant_is_trusted_and_unit_is_validated(monkeypatch):
 
 
 def test_iterated_coordinate_derives_window_ratios_once(monkeypatch):
-    two = make_discrete_space(2, labels=(0, 1))
+    two = FiniteSpace((0, 1))
     ident = TestFn(two, (0, 1))
     inner, outer = Window(Fraction(1, 7), Fraction(5, 6)), Window(Fraction(1, 97), 1)
     towers = [nested_bumps_fn(n) for n in (5, 64)]
@@ -141,9 +141,9 @@ def test_level1_metric_and_coordinate_derive_ratios_once_per_pair_or_point(monke
     table = fixed_rational_space()
     f, g = blocks((1, 2, 3) * 20), blocks((2, 1, 1, 4) * 15)
     phi = TestFn(table, (Fraction(-1, 3), Fraction(2, 5), 7, Fraction(5, 6)))
-    coordinates = [Functional(phi, w) for w in (FULL_WINDOW, Window(Fraction(1, 7), Fraction(5, 6)))]
+    coordinates = [(phi, w) for w in (FULL_WINDOW, Window(Fraction(1, 7), Fraction(5, 6)))]
     pairs = {(a, b) for a, b in pairing(f, g).values if a != b}
-    distance, means = d_hm(table, f, g), [functional_eval(c, f) for c in coordinates]
+    distance, means = d_hm(table, f, g), [functional_eval(*c, f) for c in coordinates]
     calls = []
     ratio = Fraction.as_integer_ratio
 
@@ -156,7 +156,7 @@ def test_level1_metric_and_coordinate_derive_ratios_once_per_pair_or_point(monke
     assert len(calls) == len(pairs) == 7  # of the 45 unequal overlaps
     for coordinate, mean in zip(coordinates, means):
         calls.clear()
-        assert functional_eval(coordinate, f) == mean
+        assert functional_eval(*coordinate, f) == mean
         assert len(calls) == 3  # of 60 pieces
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from hmstep import cli
 from hmstep.core import FULL_WINDOW, TestFn, make_discrete_space
-from hmstep.hm import Functional, SpaceMap, d_hm, functional_eval, hm_map
+from hmstep.hm import SpaceMap, d_hm, functional_eval, hm_map
 from hmstep.stepfn import StepFn
 from hmstep.tower import d_hm2, h2_map, iterated_functional_eval
 
@@ -48,7 +48,7 @@ NESTED_UNHASHABLE = StepFn((0, 1), (UNHASHABLE,))
 @pytest.mark.parametrize("call", (
     lambda space: d_hm(space, UNHASHABLE, UNHASHABLE),
     lambda space: hm_map(SpaceMap(space, space, space.labels), UNHASHABLE),
-    lambda space: functional_eval(Functional(TestFn(space, (1,) * space.n), FULL_WINDOW), UNHASHABLE),
+    lambda space: functional_eval(TestFn(space, (1,) * space.n), FULL_WINDOW, UNHASHABLE),
     lambda space: d_hm2(space, NESTED_UNHASHABLE, NESTED_UNHASHABLE),
     lambda space: h2_map(SpaceMap(space, space, space.labels), NESTED_UNHASHABLE),
     lambda space: iterated_functional_eval(TestFn(space, (1,) * space.n), FULL_WINDOW, FULL_WINDOW, NESTED_UNHASHABLE),

@@ -75,7 +75,7 @@ class ZeroHash(tuple):
         return 0
 
 
-K2, K3 = make_discrete_space(2), make_discrete_space(3, labels=("a", "b", "c"))
+K2, K3 = make_discrete_space(2), FiniteSpace(("a", "b", "c"))
 PRODUCTS = (product_space(K2, K3), product_space(product_space(K2, K2), K3))
 
 

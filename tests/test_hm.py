@@ -9,13 +9,13 @@ import pytest
 
 from hmstep.core import (
     FULL_WINDOW,
+    FiniteSpace,
     TestFn,
     Window,
     make_discrete_space,
     product_space,
 )
 from hmstep.hm import (
-    Functional,
     SpaceMap,
     compose_testfn,
     d_hm,
@@ -33,7 +33,7 @@ from conftest import oracle_d_hm, oracle_functional, random_metric_space
 
 K2 = make_discrete_space(2)
 K3 = make_discrete_space(3)
-TWO = make_discrete_space(2, labels=(0, 1))
+TWO = FiniteSpace((0, 1))
 
 
 def staircase(n: int) -> StepFn:
@@ -73,21 +73,21 @@ class TestFunctionalEval:
     def test_constant_function_returns_value(self):
         phi = TestFn(K3, (Fraction(1, 2), 1, 0))
         for w in (FULL_WINDOW, Window(Fraction(1, 3), Fraction(2, 3))):
-            assert functional_eval(Functional(phi, w), unit(1, K3)) == Fraction(1, 2)
+            assert functional_eval(phi, w, unit(1, K3)) == Fraction(1, 2)
 
     def test_staircase_indicator_average(self):
         for n in (2, 3, 5):
             space = make_discrete_space(n)
             f = staircase(n)
             ind = TestFn.indicator(space, 1)
-            assert functional_eval(Functional(ind, FULL_WINDOW), f) == Fraction(1, n)
+            assert functional_eval(ind, FULL_WINDOW, f) == Fraction(1, n)
 
     def test_window_picks_out_pieces(self):
         f = staircase(2)
         ind2 = TestFn.indicator(K2, 2)
         w = Window(Fraction(1, 2), 1)
-        assert functional_eval(Functional(ind2, w), f) == 1
-        assert functional_eval(Functional(ind2, Window(0, Fraction(1, 2))), f) == 0
+        assert functional_eval(ind2, w, f) == 1
+        assert functional_eval(ind2, Window(0, Fraction(1, 2)), f) == 0
 
     def test_agrees_with_midpoint_oracle(self):
         rng = random.Random(31)
@@ -99,8 +99,7 @@ class TestFunctionalEval:
             den = rng.randint(1, 10)
             i = rng.randint(0, den - 1)
             w = Window(Fraction(i, den), Fraction(rng.randint(i + 1, den), den))
-            fnl = Functional(phi, w)
-            assert functional_eval(fnl, f) == oracle_functional(phi, w, f)
+            assert functional_eval(phi, w, f) == oracle_functional(phi, w, f)
 
     def test_linearity_lemma(self):
         rng = random.Random(41)
@@ -111,9 +110,9 @@ class TestFunctionalEval:
             lam1, lam2 = Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2)
             w = FULL_WINDOW
             combo = phi1.scaled(lam1) + phi2.scaled(lam2)
-            assert functional_eval(Functional(combo, w), f) == lam1 * functional_eval(
-                Functional(phi1, w), f
-            ) + lam2 * functional_eval(Functional(phi2, w), f)
+            assert functional_eval(combo, w, f) == lam1 * functional_eval(phi1, w, f) + lam2 * functional_eval(
+                phi2, w, f
+            )
 
     def test_monotonicity_lemma(self):
         rng = random.Random(42)
@@ -121,8 +120,8 @@ class TestFunctionalEval:
             f = random_stepfn(K3, rng.randint(1, 8), rng)
             phi1 = TestFn(K3, tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(3)))
             delta = TestFn(K3, tuple(Fraction(rng.randint(0, 6), 3) for _ in range(3)))
-            assert functional_eval(Functional(phi1, FULL_WINDOW), f) <= functional_eval(
-                Functional(phi1 + delta, FULL_WINDOW), f
+            assert functional_eval(phi1, FULL_WINDOW, f) <= functional_eval(
+                phi1 + delta, FULL_WINDOW, f
             )
 
 
@@ -193,8 +192,8 @@ class TestHmMap:
             i = rng.randint(0, den - 1)
             w = Window(Fraction(i, den), Fraction(rng.randint(i + 1, den), den))
             f = random_stepfn(K3, rng.randint(1, 8), rng)
-            assert functional_eval(Functional(phi, w), hm_map(h, f)) == functional_eval(
-                Functional(compose_testfn(phi, h), w), f
+            assert functional_eval(phi, w, hm_map(h, f)) == functional_eval(
+                compose_testfn(phi, h), w, f
             )
 
     def test_rejects_foreign_values(self):
@@ -216,7 +215,7 @@ class TestUnit:
             den = rng.randint(1, 8)
             i = rng.randint(0, den - 1)
             w = Window(Fraction(i, den), Fraction(rng.randint(i + 1, den), den))
-            assert functional_eval(Functional(phi, w), unit(x, K3)) == phi(x)
+            assert functional_eval(phi, w, unit(x, K3)) == phi(x)
 
     def test_distinct_points_at_distance_of_the_base(self):
         rng = random.Random(72)

@@ -31,8 +31,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hmstep import stepfn
-from hmstep.core import TestFn, Window, make_discrete_space
-from hmstep.hm import Functional, d_hm, functional_eval, pairing
+from hmstep.core import FiniteSpace, TestFn, Window
+from hmstep.hm import d_hm, functional_eval, pairing
 from hmstep.laws import bump_fn, fixed_rational_space
 from hmstep.stepfn import (
     StepFn,
@@ -229,7 +229,7 @@ phi = TestFn(TABLE, (Fraction(-1, 3), Fraction(2, 5), Fraction(7), Fraction(5, 6
 
 @given(raw_stepfns(values=table_points), windows)
 def test_functional_eval(f, window):
-    assert functional_eval(Functional(phi, window), f) == oracle_functional(phi, window, f)
+    assert functional_eval(phi, window, f) == oracle_functional(phi, window, f)
 
 
 @given(raw_stepfns(values=table_points), windows, st.sets(table_points))
@@ -244,5 +244,5 @@ def test_d_hm_with_a_table_metric(f, g):
 
 @given(raw_stepfns(values=st.sampled_from((0, 1))), raw_stepfns(values=st.sampled_from((0, 1))))
 def test_d_hm_with_the_discrete_metric(f, g):
-    two = make_discrete_space(2, labels=(0, 1))
+    two = FiniteSpace((0, 1))
     assert d_hm(two, f, g) == oracle_d_hm(two, f, g)

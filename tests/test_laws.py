@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hmstep.core import make_discrete_space
+from hmstep.core import FiniteSpace, make_discrete_space
 from hmstep.hm import d_hm, hm_map, unit
 from hmstep.laws import (
     CANDIDATES,
@@ -277,7 +277,7 @@ class TestDiscontinuityProbe:
             discontinuity_probe(DIAGONAL, 0)
 
     def test_rows_match_direct_computation(self):
-        two = make_discrete_space(2, labels=(0, 1))
+        two = FiniteSpace((0, 1))
         limit = eta_h(unit(0, two))
         for n in (2, 3, 5):
             got = discontinuity_probe(DIAGONAL, n)[n - 1]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hmstep.core import FULL_WINDOW, Window, make_discrete_space, product_space
+from hmstep.core import FULL_WINDOW, FiniteSpace, Window, make_discrete_space, product_space
 from hmstep.stepfn import (
     RefinementCell,
     StepFn,
@@ -214,7 +214,7 @@ class TestRandomStepFn:
             assert set(f.values) <= set(K3.labels)
 
     def test_sequence_domain(self):
-        f = random_stepfn(("a", "b"), 4, 2)
+        f = random_stepfn(FiniteSpace(("a", "b")), 4, 2)
         assert set(f.values) <= {"a", "b"}
 
     def test_rejects_bad_grid(self):

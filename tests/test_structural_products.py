@@ -44,7 +44,7 @@ def discrete_factors(draw):
     n = draw(st.integers(1, 3))
     choice = draw(st.sampled_from(("default", "shifted", "strings")))
     labels = _labels(n, choice)
-    space = make_discrete_space(n) if choice == "default" else make_discrete_space(n, labels)
+    space = make_discrete_space(n) if choice == "default" else FiniteSpace(labels)
     return space, labels
 
 
@@ -144,7 +144,7 @@ def test_membership_answers_false_for_unhashables():
 def test_table_factor_keeps_the_dense_max_table(rng):
     table = random_metric_space(rng, rng.randint(1, 4))
     k = rng.randint(1, 3)
-    discrete = make_discrete_space(k, ("a", "b", "c")[:k])
+    discrete = FiniteSpace(("a", "b", "c")[:k])
     for x, y in ((discrete, table), (table, discrete), (table, table)):
         p = product_space(x, y)
         labels = tuple((a, b) for a in x.labels for b in y.labels)

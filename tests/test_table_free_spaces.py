@@ -1,7 +1,8 @@
 """Table-free discrete spaces against explicit distance tables.
 
-``make_discrete_space`` stores no table: ``FiniteSpace.distance`` answers 0
-or 1 from the labels. ``product_space`` of two such spaces is again
+A discrete space, ``make_discrete_space(n)`` on the labels 1..n or
+``FiniteSpace(labels)`` on any others, stores no table:
+``FiniteSpace.distance`` answers 0 or 1 from the labels. ``product_space`` of two such spaces is again
 table-free, since the max of two 0/1 metrics is the 0/1 metric; with a
 table factor it builds the max table. The oracle here is an explicit
 ``FiniteSpace`` whose table is written out entry by entry.
@@ -22,12 +23,12 @@ from conftest import random_metric_space
 LABEL_CHOICES = (None, "shifted", "strings")
 
 
-def _labels(n: int, choice: str | None) -> tuple | None:
+def _discrete(n: int, choice: str | None) -> FiniteSpace:
     if choice == "shifted":
-        return tuple(range(10, 10 + n))
+        return FiniteSpace(range(10, 10 + n))
     if choice == "strings":
-        return tuple(f"p{i}" for i in range(n))
-    return None
+        return FiniteSpace(f"p{i}" for i in range(n))
+    return make_discrete_space(n)
 
 
 def _explicit_discrete(labels: tuple) -> FiniteSpace:
@@ -44,7 +45,7 @@ def _assert_same_distances(space: FiniteSpace, oracle) -> None:
 @pytest.mark.parametrize("choice", LABEL_CHOICES)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_discrete_space_matches_explicit_table(n, choice):
-    space = make_discrete_space(n, _labels(n, choice))
+    space = _discrete(n, choice)
     table = _explicit_discrete(space.labels)
     assert space.labels == table.labels
     _assert_same_distances(space, table.distance)
@@ -54,7 +55,7 @@ def test_discrete_space_matches_explicit_table(n, choice):
 @pytest.mark.parametrize("choice", LABEL_CHOICES)
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (2, 3), (3, 3), (4, 2)])
 def test_discrete_product_matches_explicit_max_table(n, m, choice):
-    x = make_discrete_space(n, _labels(n, choice))
+    x = _discrete(n, choice)
     y = make_discrete_space(m)
     p = product_space(x, y)
     assert p.labels == tuple((a, b) for a in x.labels for b in y.labels)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hmstep.core import FULL_WINDOW, TestFn, Window, make_discrete_space, product_space
+from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space, product_space
 from hmstep.hm import SpaceMap, d_hm, hm_map, product_projections, unit
 from hmstep.stepfn import StepFn, canonicalize, constant, evaluate, random_stepfn
 from hmstep.tower import (
@@ -29,7 +29,7 @@ from conftest import oracle_d_hm2
 
 K2 = make_discrete_space(2)
 K3 = make_discrete_space(3)
-TWO = make_discrete_space(2, labels=(0, 1))
+TWO = FiniteSpace((0, 1))
 
 
 def block_grid(n: int) -> tuple[Fraction, ...]:
@@ -162,7 +162,7 @@ class TestIteratedFunctional:
     def test_h_eta_reduces_to_outer_average(self):
         # inner functions are constants, so the inner window is irrelevant
         rng = random.Random(15)
-        from hmstep.hm import Functional, functional_eval
+        from hmstep.hm import functional_eval
 
         for _ in range(60):
             f = random_stepfn(K3, rng.randint(1, 8), rng)
@@ -172,12 +172,12 @@ class TestIteratedFunctional:
             outer = Window(Fraction(i, den), Fraction(rng.randint(i + 1, den), den))
             inner = Window(Fraction(1, 3), Fraction(2, 3))
             assert iterated_functional_eval(phi, inner, outer, h_eta(f)) == functional_eval(
-                Functional(phi, outer), f
+                phi, outer, f
             )
 
     def test_eta_h_reduces_to_inner_average(self):
         rng = random.Random(16)
-        from hmstep.hm import Functional, functional_eval
+        from hmstep.hm import functional_eval
 
         for _ in range(60):
             f = random_stepfn(K3, rng.randint(1, 8), rng)
@@ -187,7 +187,7 @@ class TestIteratedFunctional:
             inner = Window(Fraction(i, den), Fraction(rng.randint(i + 1, den), den))
             outer = Window(Fraction(1, 4), Fraction(3, 4))
             assert iterated_functional_eval(phi, inner, outer, eta_h(f)) == functional_eval(
-                Functional(phi, inner), f
+                phi, inner, f
             )
 
     def test_nested_bumps_full_window_coordinate(self):

@@ -8,7 +8,7 @@ equal, the hash is the hash of the field tuple, an instance of another class
 and assignment and deletion raise ``AttributeError``.
 
 Records (``LawFailure``, ``LawReport``, ``ProbeRow``, ``FiberResult``,
-``Witnesses``, ``RunConfig``, ``Report``, ``Functional``): attribute access,
+``Witnesses``, ``RunConfig``, ``Report``): attribute access,
 defaults, equality and ``to_dict`` read as before.
 """
 
@@ -21,7 +21,7 @@ import pytest
 
 from hmstep.cli import Report, RunConfig, run
 from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space, product_space
-from hmstep.hm import Functional, SpaceMap, product_projections
+from hmstep.hm import SpaceMap, product_projections
 from hmstep.laws import FiberResult, LawFailure, LawReport, ProbeRow, Witnesses, build_witnesses
 from hmstep.stepfn import StepFn
 from hmstep.tower import DIAGONAL, MuCandidate, diagonal_flatten
@@ -174,13 +174,6 @@ class TestRecords:
         assert w == build_witnesses(3)
         with pytest.raises(AttributeError):
             w.base = SPACE
-
-    def test_functional(self):
-        phi = TestFn(SPACE, (1, 0, 0))
-        fnl = Functional(phi, FULL_WINDOW)
-        assert fnl.phi is phi and fnl.window is FULL_WINDOW
-        assert fnl == Functional(phi=TestFn(SPACE, (1, 0, 0)), window=Window(0, 1))
-        assert hash(fnl) == hash((phi, FULL_WINDOW))
 
     def test_run_config_and_report(self):
         config = RunConfig()
