@@ -1,13 +1,14 @@
 """Batch verification front end.
 
 Each command-line policy is stated once here: ``RunConfig`` holds every default the parser reads and prints, and
-the four budgets sit beside the gate in ``_plan`` that charges them. Plans a command as jobs once each budget it
-is charged (samples, forced chains, fiber, probe rows) is checked; ``all`` plans its four parts as each would run
-alone. Then runs the coordinate/support suites, the monad-law suites for a chosen candidate, the fiber decisions
-and the discontinuity probe's rows, dealt by stride, as jobs in forked workers, one per CPU. Renders one
-deterministic report (JSON, CSV for probe rows, or text), byte-identical for identical config and seed, and writes
-it to stdout or --out in one checked write. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error,
-3 over budget, out of memory, or the report cannot be written (a full disk or a closed pipe included).
+the four budgets sit beside the gate in ``_plan`` that charges them. ``--grid`` bounds the lemmas' denominators
+alone: the fiber is decided at every grid at once. Plans a command as jobs once each budget it is charged (samples,
+forced chains, fiber, probe rows) is checked; ``all`` plans its four parts as each would run alone. Then runs the
+coordinate/support suites, the monad-law suites for a chosen candidate, the fiber decisions and the discontinuity
+probe's rows, dealt by stride, as jobs in forked workers, one per CPU. Renders one deterministic report (JSON, CSV
+for probe rows, or text), byte-identical for identical config and seed, and writes it to stdout or --out in one
+checked write. Exit codes: 0 all checks pass, 1 some assertion failed, 2 usage error, 3 over budget, out of memory,
+or the report cannot be written (a full disk or a closed pipe included).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import BinaryIO, Callable, NamedTuple
 from . import __version__
 from .laws import (
     CANDIDATES,
+    FIBER_GRID,
     BudgetError,
     LawReport,
     ProbeRow,
@@ -94,7 +96,7 @@ def parse_config(argv: list[str]) -> RunConfig:
                         help="one of: " + ", ".join(COMMANDS) + " (default: %(default)s)")
     parser.add_argument("--n-range", metavar="LOW:HIGH", help="witness index range (default %(default)s)")
     parser.add_argument("--grid", type=int, help="denominator bound for the sampled functions of lemmas (default 12); "
-                        "subdivision for fiber (default 2, and 2 when all runs fiber); laws and probe ignore it")
+                        "laws, fiber and probe ignore it")
     parser.add_argument("--samples", type=int, help="sample count per suite (default %(default)s)")
     parser.add_argument("--seed", type=int, help="seed for all sampled suites (default %(default)s)")
     parser.add_argument("--candidate", choices=CANDIDATES, help="multiplication candidate (default %(default)s)")
@@ -183,11 +185,11 @@ def _results(jobs: list[Callable]) -> list:
     return [value for _, _, value in outcomes]
 
 
-# the parts of ``all`` as (command, n_range, grid), each planned as it would run alone; grid None keeps --grid
-_ALL = (("lemmas", (1, 16), None), ("laws", (1, 4), None), ("fiber", (1, 3), 2), ("probe", (1, 16), None))
+# the parts of ``all`` as (command, n_range), each planned as it would run alone
+_ALL = (("lemmas", (1, 16)), ("laws", (1, 4)), ("fiber", (1, 3)), ("probe", (1, 16)))
 
 # the budgets _plan charges a command before any job runs
-DEFAULT_FIBER_BUDGET = 1_000_000  # n cubed times grid at the largest n of fiber: 100 at grid 1, 79 at grid 2
+DEFAULT_FIBER_BUDGET = 1_000_000  # n cubed times FIBER_GRID at the largest n of fiber: n <= 79
 # samples times the grid each command is charged per sample: --grid for lemmas, whose suites cost linear in it;
 # 12 for laws, whose suites run at laws' fixed grids 8, 4 and 4. all charges its lemma and law parts as each
 # would run alone. 1000 samples at the default grid 12
@@ -202,15 +204,11 @@ def _plan(config: RunConfig) -> list[Callable]:
     a LawReport, or a list of probe rows. The partials are built here, so they call this module's names as bound now."""
     (lo, hi), samples, seed = config.n_range, config.samples, config.seed
     if config.command == "fiber":
-        # n * grid cells times n * n labels bounds the paired base and the assignment count at the largest n
-        if hi**3 * (grid := config.grid or 2) > DEFAULT_FIBER_BUDGET:
-            raise BudgetError(f"fiber search at n={hi} grid={grid} is over the budget of {DEFAULT_FIBER_BUDGET}")
-        # the report prints that count, (n * n) ** (n * grid), in at most the digits Python prints, if limited;
-        # a count of at most 3 * limit bits is below 8 ** limit, so 10 ** limit is built only when it is small
-        count, limit = (hi * hi) ** (hi * grid), getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and count.bit_length() > 3 * limit and count >= 10**limit:
-            raise BudgetError(f"fiber count at n={hi} grid={grid} is over the budget of {limit} printable digits")
-        return [lambda n=n: fiber_uniqueness(n, grid).to_report() for n in range(lo, hi + 1)]
+        # n * FIBER_GRID cells times n * n labels bounds the paired base and the assignment count at the largest n;
+        # that count, (79 * 79) ** 158 at the edge, has 600 digits, fewer than the 640 Python prints at the least
+        if hi**3 * FIBER_GRID > DEFAULT_FIBER_BUDGET:
+            raise BudgetError(f"fiber search at n={hi} grid={FIBER_GRID} is over the budget of {DEFAULT_FIBER_BUDGET}")
+        return [lambda n=n: fiber_uniqueness(n).to_report() for n in range(lo, hi + 1)]
     if config.command == "probe":
         if (cost := (lo + hi) * (hi - lo + 1) // 2) > DEFAULT_PROBE_BUDGET:
             raise BudgetError(f"n summed over rows {lo}..{hi} ({cost}) is over the budget of {DEFAULT_PROBE_BUDGET}")
@@ -247,12 +245,12 @@ def run(config: RunConfig) -> tuple[int, Report]:
     """Execute the configured command; returns (exit_code, report).
 
     A command runs its own plan over --n-range, and ``all`` runs the plans of its four parts: the lemmas, laws
-    1..4, fiber 1..3 at grid 2 and probe 1..16, each checked and charged as it would run alone. Every plan is made,
-    so every budget checked, before any job runs; then all jobs run in one call, the probe's as one job per CPU, job
-    i of w taking every w-th row from lo + i, and the probe rows are put back in n order. May raise
+    1..4, fiber 1..3 and probe 1..16, each checked and charged as it would run alone. Every plan is made, so every
+    budget checked, before any job runs; then all jobs run in one call, the probe's as one job per CPU, job i of w
+    taking every w-th row from lo + i, and the probe rows are put back in n order. May raise
     :class:`BudgetError` or ``MemoryError``; ``main`` maps both to exit code 3.
     """
-    parts = [config._replace(command=c, n_range=r, grid=g or config.grid) for c, r, g in _ALL]
+    parts = [config._replace(command=c, n_range=r) for c, r in _ALL]
     parts = parts if config.command == "all" else [config]
     results = _results([job for plan in map(_plan, parts) for job in plan])
     suites = tuple(result for result in results if isinstance(result, LawReport))

@@ -77,6 +77,7 @@ CANDIDATES: dict[str, MuCandidate] = {
 }
 
 _UNIT_GRID, _ASSOCIATIVITY_GRID, _NATURALITY_GRID = 8, 4, 4
+FIBER_GRID = 2  # the uniform cells, n * FIBER_GRID of them, whose assignments ``FiberResult.checked`` counts
 
 
 class BudgetError(RuntimeError):
@@ -141,7 +142,6 @@ class ProbeRow(NamedTuple):
 
 class FiberResult(NamedTuple):
     n: int
-    grid: int
     witnesses: tuple[StepFn, ...]
     checked: int
 
@@ -151,7 +151,7 @@ class FiberResult(NamedTuple):
 
     def to_report(self) -> LawReport:
         failures = tuple(
-            LawFailure(f"n={self.n} grid={self.grid}", "diagonal staircase only", format_stepfn(w))
+            LawFailure(f"n={self.n} grid={FIBER_GRID}", "diagonal staircase only", format_stepfn(w))
             for w in self.witnesses
         )
         return LawReport(None, "fiber-uniqueness", self.checked, failures, (("unique", self.unique),))
@@ -492,7 +492,7 @@ def check_naturality(mu: MuCandidate, map_samples: int, seed: int) -> LawReport:
 # fiber oracle, forced chain, discontinuity probe
 
 
-def fiber_uniqueness(n: int, grid: int) -> FiberResult:
+def fiber_uniqueness(n: int) -> FiberResult:
     """Decide exactly whether the diagonal staircase is the only step function
     over the paired base whose both projections equal the staircase.
 
@@ -500,11 +500,11 @@ def fiber_uniqueness(n: int, grid: int) -> FiberResult:
     staircase with itself; it is confirmed through the functor action and
     compared with the diagonal staircase; only those, the paired base and its
     projections are built. ``checked`` counts the assignments of paired
-    values to the n*grid uniform cells that this decision covers. The
-    command line bounds n and grid before it asks; this call does not.
+    values to the n * FIBER_GRID uniform cells that this decision covers, at
+    every grid alike. The command line bounds n before it asks; this does not.
     """
-    if n < 1 or grid < 1:
-        raise ValueError("n and grid must be at least 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     base = make_discrete_space(n)
     left_proj, right_proj = product_projections(product_space(base, base))
     staircase = staircase_fn(n)
@@ -512,7 +512,7 @@ def fiber_uniqueness(n: int, grid: int) -> FiberResult:
     if hm_map(left_proj, paired) != staircase or hm_map(right_proj, paired) != staircase:
         raise RuntimeError("pairing and functor action disagree; the pairing is buggy")
     witnesses = () if paired == blocks(zip(base.labels, base.labels)) else (paired,)
-    return FiberResult(n=n, grid=grid, witnesses=witnesses, checked=(n * n) ** (n * grid))
+    return FiberResult(n=n, witnesses=witnesses, checked=(n * n) ** (n * FIBER_GRID))
 
 
 def forced_value_chain(n: int, mu: MuCandidate, seed: int = 0) -> LawReport:

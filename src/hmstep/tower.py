@@ -147,8 +147,8 @@ def random_stepfn2(
     """A canonical level-2 function: outer breakpoints on the 1/outer_grid
     grid, each inner function drawn by :func:`random_stepfn`."""
     rng = as_rng(seed)
-    if outer_grid < 1:
-        raise ValueError("outer grid must be at least 1")
+    if outer_grid < 1 or inner_grid < 1:
+        raise ValueError(f"{'outer' if outer_grid < 1 else 'inner'} grid must be at least 1")
     return blocks(random_stepfn(space, rng.randint(1, inner_grid), rng) for _ in range(outer_grid))
 
 
@@ -161,6 +161,6 @@ def random_stepfn3(
 ) -> StepFn3:
     """A canonical level-3 function built from random level-2 values."""
     rng = as_rng(seed)
-    if outer_grid < 1:
-        raise ValueError("outer grid must be at least 1")
+    if outer_grid < 1 or mid_grid < 1:
+        raise ValueError(f"{'outer' if outer_grid < 1 else 'middle'} grid must be at least 1")
     return blocks(random_stepfn2(space, rng.randint(1, mid_grid), inner_grid, rng) for _ in range(outer_grid))

@@ -154,7 +154,7 @@ def _reversed_pairing(pairing):
 @pytest.mark.parametrize("name, wrong, call, message", (
     ("hm_map", _rotated_map, lambda: laws.build_witnesses(3), "projections of the diagonal staircase"),
     ("h2_map", lambda _: _identity_map, lambda: laws.build_witnesses(3), "collapse of the nested rows"),
-    ("pairing", _reversed_pairing, lambda: laws.fiber_uniqueness(3, 1), "pairing and functor action disagree"),
+    ("pairing", _reversed_pairing, lambda: laws.fiber_uniqueness(3), "pairing and functor action disagree"),
 ), ids=("projections", "collapse", "fiber-pairing"))
 def test_fault_detector_fires(name, wrong, call, message, monkeypatch):
     call()  # holds on the unbroken code

@@ -1,8 +1,8 @@
 """Every public boundary refuses bad input with ``ValueError`` and a clear message.
 
 Each case below is a refusal that no other test reaches: malformed spaces,
-an empty block list, unbalanced value text, an outer grid of 0, a
-test function on the wrong space and an unknown report format. A value that
+an empty block list, unbalanced value text, an outer, middle or inner grid
+of 0, a test function on the wrong space and an unknown report format. A value that
 cannot be hashed is no point of any space, so a point map or support set
 holding one is refused as "is not a point", the message ``index_of`` gives.
 """
@@ -35,13 +35,17 @@ def _yaml_report():
     (lambda: parse_value("(1,2"), "unbalanced parentheses"),
     (lambda: random_stepfn2(K2, 0, 2, 0), "outer grid must be at least 1"),
     (lambda: random_stepfn3(K2, 0, 2, 2, 0), "outer grid must be at least 1"),
+    (lambda: random_stepfn2(K2, 2, 0, 1), "inner grid must be at least 1"),
+    (lambda: random_stepfn3(K2, 2, 0, 2, 1), "middle grid must be at least 1"),
+    (lambda: random_stepfn3(K2, 2, 2, 0, 1), "inner grid must be at least 1"),
     (lambda: compose_testfn(TestFn(K2, (1, 1)), SpaceMap(K2, K3, (1, 2))), "map's target space"),
     (_yaml_report, "unknown format 'yaml'"),
     (lambda: SpaceMap(K2, K3, ([1], 2)), "is not a point"),
     (lambda: support_criterion_check(K2, constant(1), [[1]]), "is not a point"),
 ), ids=(
     "no-labels", "duplicate-labels", "ragged-table", "no-blocks",
-    "open-bracket", "open-parenthesis", "level2-grid", "level3-grid", "testfn-space", "yaml",
+    "open-bracket", "open-parenthesis", "level2-grid", "level3-grid",
+    "level2-inner-grid", "level3-middle-grid", "level3-inner-grid", "testfn-space", "yaml",
     "unhashable-image", "unhashable-support-set",
 ))
 def test_refused_with_value_error(call, message):

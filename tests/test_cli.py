@@ -26,7 +26,7 @@ from hmstep.cli import (
     parse_config,
     run,
 )
-from hmstep.laws import LawReport
+from hmstep.laws import FIBER_GRID, LawReport
 from test_fiber_factored import TIMED_MAIN, _limit_memory
 
 SRC = str(Path(hmstep.__file__).resolve().parent.parent)
@@ -197,13 +197,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert json.loads(out)["suites"][0]["steps"] == [{"step": "unique", "holds": True}]
         assert main(["fiber", "--n-range", "80:80"]) == 3
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("hmstep:")
-
-    def test_fiber_count_too_long_to_print_exit_three(self, capsys):
-        # within the budget (20000 cells * 4), but 4**20000 has more digits than Python prints
-        assert main(["fiber", "--n-range", "2:2", "--grid", "10000"]) == 3
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1 and lines[0].startswith("hmstep:")
@@ -425,58 +418,42 @@ class TestChainBudget:
         assert [s.law for s in report.suites[3:]] == [f"chain-stub-{n}-{20 + n}" for n in range(lo, hi + 1)]
 
 
-@pytest.fixture
-def default_digit_limit():
-    """Python's default limit of 4300 digits on printing an int, whatever the environment set."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this Python prints ints of any length")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
 class TestFiberBudget:
-    """n cubed times grid at the largest n of ``fiber`` is refused over ``DEFAULT_FIBER_BUDGET`` before any work,
-    and so is a count (n * n) ** (n * grid) that the report could not print."""
+    """n cubed times ``FIBER_GRID`` at the largest n of ``fiber`` is refused over ``DEFAULT_FIBER_BUDGET`` before any
+    work; ``fiber`` reads no ``--grid``, and the count it reports at the edge is short enough for any Python to print."""
 
-    @pytest.mark.parametrize("n, grid", ((100, 1), (1, 1_000_000), (79, 2)))
+    @pytest.mark.parametrize("n, grid", ((79, FIBER_GRID),))
     def test_budget_edge_is_admitted(self, capsys, n, grid):
         assert n**3 * grid <= DEFAULT_FIBER_BUDGET
-        assert main(["fiber", "--n-range", f"{n}:{n}", "--grid", str(grid)]) == 0
+        assert main(["fiber", "--n-range", f"{n}:{n}"]) == 0
         assert capsys.readouterr().out.endswith("overall: pass\n")
 
-    @pytest.mark.parametrize("n, grid", ((101, 1), (1, 1_000_001), (80, 2)))
+    @pytest.mark.parametrize("n, grid", ((80, FIBER_GRID),))
     def test_one_over_the_budget_is_refused(self, n, grid):
         assert n**3 * grid > DEFAULT_FIBER_BUDGET
         with pytest.raises(hmstep.BudgetError, match=f"n={n} grid={grid} is over the budget of {DEFAULT_FIBER_BUDGET}"):
-            run(parse_config(["fiber", "--n-range", f"1:{n}", "--grid", str(grid)]))
+            run(parse_config(["fiber", "--n-range", f"1:{n}"]))
 
-    def test_a_count_of_4300_digits_is_admitted(self, capsys, default_digit_limit):
-        assert len(str(4 ** (2 * 3571))) == 4300
-        assert main("fiber --n-range 1:2 --grid 3571 --format json".split()) == 0
-        assert json.loads(capsys.readouterr().out)["suites"][1]["samples"] == 4 ** (2 * 3571)
+    @pytest.mark.parametrize("n_range, grid", (("1:3", 1), ("1:3", 3), ("1:3", 10_000), ("2:2", 10_000)))
+    def test_grid_is_echoed_and_ignored(self, capsys, n_range, grid):
+        assert main(["fiber", "--n-range", n_range, "--format", "json"]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert main(["fiber", "--n-range", n_range, "--grid", str(grid), "--format", "json"]) == 0
+        given = json.loads(capsys.readouterr().out)
+        assert given["suites"] == alone["suites"] and given["config"] == {**alone["config"], "grid": grid}
 
-    @pytest.mark.parametrize("n_range, grid, fmt", (
-        ("1:2", 3572, "text"),
-        ("1:2", 3600, "json"),
-        ("2:2", 10_000, "text"),
-        ("1:10", 1000, "text"),
-    ))
-    def test_a_count_too_long_to_print_is_refused_before_any_job(
-        self, monkeypatch, capsys, default_digit_limit, n_range, grid, fmt
-    ):
-        def never(*args):
-            raise AssertionError("work started before the budget gate refused")
-
-        monkeypatch.setattr(cli, "_results", never)
-        monkeypatch.setattr(cli, "fiber_uniqueness", never)
-        n = int(n_range.split(":")[1])
-        assert n**3 * grid <= DEFAULT_FIBER_BUDGET and (n * n) ** (n * grid) >= 10**4300
-        assert main(["fiber", "--n-range", n_range, "--grid", str(grid), "--format", fmt]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"hmstep: fiber count at n={n} grid={grid} is over the budget of 4300 printable digits\n"
+    def test_the_edge_count_prints_at_the_least_digit_limit(self):
+        # 640 is the lowest limit Python accepts; the count at n = 79 has 600 digits
+        assert len(str((79 * 79) ** 158)) == 600
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmstep", "fiber", "--n-range", "79:79", "--format", "json"],
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": "640"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["suites"][0]["samples"] == (79 * 79) ** 158
 
 
 @pytest.mark.parametrize("argv", (
@@ -504,9 +481,9 @@ def test_every_budget_is_checked_before_any_job(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("candidate", ("diagonal", "constant-left", "remap-last"))
 def test_all_is_its_four_commands(monkeypatch, workers, candidate):
-    # all runs lemmas, laws 1:4, fiber 1:3 at grid 2 and probe 1:16 with its flags, each as it would run alone
+    # all runs lemmas, laws 1:4, fiber 1:3 and probe 1:16 with its flags, each as it would run alone
     monkeypatch.setattr(cli, "_cpus", lambda: workers)
-    parts = ("lemmas", "laws --n-range 1:4", "fiber --n-range 1:3 --grid 2", "probe --n-range 1:16")
+    parts = ("lemmas", "laws --n-range 1:4", "fiber --n-range 1:3", "probe --n-range 1:16")
     for seed in (0, 7):
         for grid in ([], ["--grid", "5"], ["--grid", "20"]):
             flags = ["--samples", "20", "--seed", str(seed), "--candidate", candidate, *grid]

@@ -21,9 +21,9 @@ def test_over_budget_fiber_range_is_refused_before_any_decision(monkeypatch, cap
     calls = []
     fiber_uniqueness = cli.fiber_uniqueness
 
-    def counted(n, grid):
+    def counted(n):
         calls.append(n)
-        return fiber_uniqueness(n, grid)
+        return fiber_uniqueness(n)
 
     monkeypatch.setattr(cli, "fiber_uniqueness", counted)
     assert cli.main(["fiber", "--n-range", "1:80"]) == 3

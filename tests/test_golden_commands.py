@@ -1,7 +1,8 @@
 """Golden reports of the single commands that exercise refinement, the metric
-at both levels, the candidates and the fiber search, plus probe windows that
-start above 1 (up to n = 400), the chain on the witness spaces at n = 30..32
-and at n = 100, and the lemma suites on a grid of 30.
+at both levels, the candidates and the fiber search up to its budget's edge
+at n = 79, plus probe windows that start above 1 (up to n = 400), the chain
+on the witness spaces at n = 30..32 and at n = 100, and the lemma suites on
+a grid of 30.
 
 Each command runs in a fresh interpreter and its stdout is pinned by sha256,
 so a change in any step-function kernel, in the canonical forms it produces
@@ -27,6 +28,7 @@ GOLDEN_SHA256 = {
     "probe --n-range 1:32 --format csv": "d324cb754fc88cb864343e60ca77c93420f4361f1fdf5c92a388e3d04e5296d6",
     "laws --n-range 1:6 --format json": "b28a0f5d449c6363c5834bf2b31dfedfca8f323aef22728982c6bfe13898870f",
     "fiber --n-range 1:3 --grid 2 --format json": "53a9308ee76dcbc79320a98a740a586b0a2557b7ea9f348e5345ab9216887142",
+    "fiber --n-range 1:79 --format json": "beccaaf7ef5d8bed095d005abe55a805297271d5daaf83c16655d2f27f9930b8",
     "lemmas --samples 60 --seed 3 --format text": "0273fb7a2bc714009d6ca32b355fce9cf01f4dd9d468fb394c9374ac792ab59c",
     "probe --n-range 100:116 --format csv": "0909d33d6caea4f6bee0fd5d6636614a294416fdb8b1fa2d8815a00ec4af7f31",
     "laws --n-range 30:32 --format json": "96dd86b384d021f79e96ffc9eff18133aef132b28d606bee044541902168f66f",

@@ -158,12 +158,12 @@ class TestRecords:
         assert list(row.to_dict()) == ["n", "coordinate_distance", "metric_distance", "image_gap"]
 
     def test_fiber_result(self):
-        result = FiberResult(2, 2, (), 5)
-        assert result.unique and (result.n, result.grid, result.witnesses, result.checked) == (2, 2, (), 5)
-        assert result == FiberResult(n=2, grid=2, witnesses=(), checked=5)
+        result = FiberResult(2, (), 5)
+        assert result.unique and (result.n, result.witnesses, result.checked) == (2, (), 5)
+        assert result == FiberResult(n=2, witnesses=(), checked=5)
         assert result.to_report() == LawReport(None, "fiber-uniqueness", 5, (), (("unique", True),))
         w = StepFn((0, 1), ((1, 2),))
-        failing = FiberResult(2, 2, (w,), 5).to_report()
+        failing = FiberResult(2, (w,), 5).to_report()
         assert failing.failures == (LawFailure("n=2 grid=2", "diagonal staircase only", "0 (1,2) 1"),)
 
     def test_witnesses(self):
