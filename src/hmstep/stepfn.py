@@ -28,8 +28,10 @@ coerces and checks every partition, and :func:`parse_stepfn` checks only what
 it cannot see. Internal producers (``blocks``, ``map_values``,
 ``canonicalize``, ``pairing``, ``diagonal``) derive their partitions from
 checked inputs, so they run the one merge scan and build their canonical
-result once; ``constant``'s partition is fixed, and ``blocks`` of distinct
-neighbours skips the scan, as n blocks are canonical.
+result once. Only a merge can drop the breakpoints that needed the larger
+den, so only merges reduce the grid. ``constant``'s partition is fixed;
+``blocks`` of distinct neighbours skips the scan, as n blocks are canonical,
+and shares one tick tuple per n; ``canonicalize`` of canonical input skips it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable
+from functools import lru_cache
 from math import gcd, lcm
-from operator import ne
+from operator import attrgetter, lt, ne
 from typing import NamedTuple
 
 from .core import FULL_WINDOW, ONE, ZERO, FiniteSpace, Frozen, Rat, Window, as_rat
@@ -55,10 +58,11 @@ class StepFn(Frozen):
     least common denominator, equal partitions have equal fields, so ``hash``
     and ``==`` (identity, then ticks and values: ``den`` is ``ticks[-1]``) mean
     "same breakpoints, same values". Results derived from checked inputs are
-    built by ``_trusted`` instead.
+    built by ``_trusted`` instead. The three fields are slots: a ``StepFn`` has
+    no ``__dict__``, and pickles through ``_trusted``.
     """
 
-    _fields = ("den", "ticks", "values")
+    __slots__ = _fields = ("den", "ticks", "values")
     den: int
     ticks: tuple[int, ...]
     values: tuple
@@ -80,7 +84,11 @@ class StepFn(Frozen):
         ticks = tuple(t.numerator * (den // t.denominator) for t in bps)
         if any(t1 < t0 for t0, t1 in zip(ticks, ticks[1:])):
             raise ValueError("breakpoints must be sorted")
-        self._set(den=den, ticks=ticks, values=vals)
+        if hasattr(self, "den"):
+            raise AttributeError("cannot rebuild a built StepFn")
+        _setattr(self, "den", den)
+        _setattr(self, "ticks", ticks)
+        _setattr(self, "values", vals)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -90,6 +98,9 @@ class StepFn(Frozen):
         return self.ticks == other.ticks and self.values == other.values
 
     __hash__ = Frozen.__hash__  # (den, ticks, values), which defining __eq__ would clear
+
+    def __reduce__(self) -> tuple:
+        return _trusted, (self.den, self.ticks, self.values)
 
     @property
     def breakpoints(self) -> tuple[Rat, ...]:
@@ -107,18 +118,18 @@ class StepFn(Frozen):
         return zip(bps, bps[1:], self.values)
 
 
+_setattr = object.__setattr__  # past Frozen's refusal, into the slots
+
+
 def _trusted(den: int, ticks: tuple[int, ...], values: tuple) -> StepFn:
     """A ``StepFn`` over a partition already known to be valid, built without
-    coercion or checks: int ticks from 0 to den in order, one value per piece.
-    A factor common to den and every tick, left where a merge dropped the
-    breakpoints that needed it, is divided out."""
-    g = gcd(den, *ticks)
-    if g > 1:
-        den //= g
-        ticks = tuple(t // g for t in ticks)
+    coercion or checks and stored as given: int ticks from 0 to den in order,
+    one value per piece, den the least. Only a merge can leave a larger den,
+    so ``_canonical`` and ``canonicalize`` reduce their grids before this."""
     f = object.__new__(StepFn)
-    # one update beats three setattrs on the bump tower, at the cost of a dict per instance
-    f.__dict__.update(den=den, ticks=ticks, values=values)
+    _setattr(f, "den", den)
+    _setattr(f, "ticks", ticks)
+    _setattr(f, "values", values)
     return f
 
 
@@ -146,24 +157,35 @@ def _merged(pieces: Iterable[tuple[int, object]]) -> tuple[list[int], list]:
     return ticks, vals
 
 
+def _reduced(den: int, ticks: list[int]) -> tuple[int, tuple[int, ...]]:
+    """den and merged ticks over their greatest common factor: the least grid
+    once a merge has dropped the breakpoints that needed a larger one."""
+    g = gcd(den, *ticks)
+    if g > 1:
+        return den // g, tuple(t // g for t in ticks)
+    return den, tuple(ticks)
+
+
 def _canonical(den: int, pieces: Iterable[tuple[int, object]]) -> StepFn:
     """The canonical step function of checked (end tick, value) pieces from 0 to den."""
     ticks, vals = _merged(pieces)
-    return _trusted(den, tuple(ticks), tuple(vals))
+    return _trusted(*_reduced(den, ticks), tuple(vals))
 
 
 def canonicalize(f: StepFn) -> StepFn:
     """The unique representative of f's almost-everywhere class.
 
     Zero-length pieces are dropped and equal-valued neighbours merged, in one
-    scan; an already canonical f is returned as is, so the call is
-    idempotent and allocates no second ``StepFn`` for canonical input. The
-    result has at least one piece.
+    scan; an already canonical f (ticks strictly increasing, neighbours
+    distinct: two C-level passes) is returned as is, without the scan, so the
+    call is idempotent and allocates no second ``StepFn`` for canonical input.
+    The result has at least one piece.
     """
-    ticks, vals = _merged(zip(f.ticks[1:], f.values))
-    if len(vals) == len(f.values):
+    ticks, values = f.ticks, f.values
+    if all(map(lt, ticks, ticks[1:])) and all(map(ne, values, values[1:])):
         return f
-    return _trusted(f.den, tuple(ticks), tuple(vals))
+    ticks, vals = _merged(zip(ticks[1:], values))
+    return _trusted(*_reduced(f.den, ticks), tuple(vals))
 
 
 def constant(value: object) -> StepFn:
@@ -173,7 +195,7 @@ def constant(value: object) -> StepFn:
 
 def map_values(f: StepFn, fn: Callable[[object], object]) -> StepFn:
     """The canonical form of fn ∘ f: fn applied to every stored value."""
-    return _canonical(f.den, zip(f.ticks[1:], [fn(v) for v in f.values]))
+    return _canonical(f.den, zip(f.ticks[1:], map(fn, f.values)))
 
 
 def evaluate(f: StepFn, t: int | str | Rat) -> object:
@@ -290,16 +312,16 @@ def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window:
 
 def diagonal(F: StepFn) -> StepFn:
     """The canonical s ↦ F(s)(s) for step-function values F(s): per outer piece of
-    positive length, the inner pieces meeting it, clipped, over the lcm of the dens read."""
-    live = [(u, v, g) for u, v, g in zip(F.ticks, F.ticks[1:], F.values) if v > u]
-    den = lcm(F.den, *(g.den for _, _, g in live))
+    positive length, the inner pieces meeting it, clipped, over the lcm of every den."""
+    den = lcm(F.den, *map(attrgetter("den"), F.values))
     s = den // F.den
     pieces = []
-    for u, v, g in live:
-        u, v, sg, ticks = u * s, v * s, den // g.den, g.ticks
-        for i in _meeting(ticks, sg, u, v):
-            end = ticks[i + 1] * sg
-            pieces.append((end if end <= v else v, g.values[i]))
+    for u, v, g in zip(F.ticks, F.ticks[1:], F.values):
+        if v > u:
+            u, v, sg, ticks = u * s, v * s, den // g.den, g.ticks
+            for i in _meeting(ticks, sg, u, v):
+                end = ticks[i + 1] * sg
+                pieces.append((end if end <= v else v, g.values[i]))
     return _canonical(den, pieces)
 
 
@@ -321,8 +343,14 @@ def blocks(values: Iterable) -> StepFn:
     if not values:
         raise ValueError("need at least one block value")
     if all(map(ne, values, values[1:])):
-        return _trusted(len(values), tuple(range(len(values) + 1)), values)
+        return _trusted(len(values), _grid(len(values)), values)
     return _canonical(len(values), enumerate(values, 1))
+
+
+@lru_cache(maxsize=64)
+def _grid(n: int) -> tuple[int, ...]:
+    """The ticks 0..n of n blocks, one tuple shared by every function on that grid."""
+    return tuple(range(n + 1))
 
 
 def random_stepfn(space: FiniteSpace, grid_denominator: int, seed: int | random.Random) -> StepFn:

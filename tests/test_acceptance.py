@@ -263,11 +263,43 @@ def test_13_chain_memory():
     assert proc.returncode == 0, proc.stderr.decode()
     verdict, held, kb = proc.stdout.split()
     peak_mb = int(kb) / 1024
-    ok = verdict == b"pass" and int(held) == 5 and peak_mb < 130
+    ok = verdict == b"pass" and int(held) == 5 and peak_mb < 100
     _finish(
         "chain-memory",
         ok,
         elapsed,
         10.0,
-        f"forced_value_chain(1000) holds all five steps at {peak_mb:.0f} MB max RSS (limit 130 MB)",
+        f"forced_value_chain(1000) holds all five steps at {peak_mb:.0f} MB max RSS (limit 100 MB)",
+    )
+
+
+PROBE_ROW_MEMORY_CHILD = """
+from hmstep.laws import discontinuity_probe
+from hmstep.tower import DIAGONAL
+rows = discontinuity_probe(DIAGONAL, 65536, 65536)
+kb = next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(len(rows), rows[0].n, rows[0].holds, kb)
+"""
+
+
+def test_14_probe_row_memory():
+    # one probe row at a scaled edge, n = 2**16, in a fresh interpreter. Its peak is
+    # Linux's VmHWM in KiB: ru_maxrss would also count the test process's own peak,
+    # which the child carries across its exec
+    src = str(Path(hmstep.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_ROW_MEMORY_CHILD], env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr.decode()
+    count, n, holds, kb = proc.stdout.split()
+    peak_mb = int(kb) / 1024
+    ok = (count, n, holds) == (b"1", b"65536", b"True") and peak_mb < 45
+    _finish(
+        "probe-row-memory",
+        ok,
+        elapsed,
+        5.0,
+        f"the probe row n=65536 holds at {peak_mb:.0f} MB max RSS (limit 45 MB)",
     )

@@ -5,6 +5,10 @@
   for any values, equal neighbours and step-function values included.
 * ``laws.bump_fn`` builds its partition directly; its fields equal those of
   ``_canonical`` on the three pieces (0, 1, 0), for every 1 <= i <= n <= 64.
+* ``canonicalize`` returns its argument, without the merge scan, when two
+  comparisons show it canonical; on raw functions at levels 1 and 2 that
+  happens exactly when the scan ``_merged`` would keep every piece, and
+  otherwise the result has the scan's fields over their gcd.
 * ``hm._check_points`` checks pairs on a structural product by column; it
   returns the same set, or raises the same ``ValueError`` text, as the
   per-point membership loop.
@@ -13,15 +17,19 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hmstep.core import FiniteSpace, make_discrete_space, product_space
 from hmstep.hm import _check_points
 from hmstep.laws import bump_fn
-from hmstep.stepfn import StepFn, _canonical, blocks, constant
+from hmstep.stepfn import StepFn, _canonical, _merged, blocks, canonicalize, constant
+
+from test_trusted_construction import raw_level2, raw_stepfns
 
 
 def fields(f: StepFn) -> tuple:
@@ -44,6 +52,24 @@ def test_bump_fn_fields_equal_the_merge_scan():
     for n in range(1, 65):
         for i in range(1, n + 1):
             assert fields(bump_fn(i, n)) == fields(_canonical(n, ((i - 1, 0), (i, 1), (n, 0))))
+
+
+HALF = Fraction(1, 2)
+
+
+@example(StepFn((0, HALF, 1), (1, 2)))  # canonical
+@example(StepFn((0, HALF, HALF, 1), (1, 2, 3)))  # a zero-length piece
+@example(StepFn((0, HALF, 1), (1, 1)))  # equal neighbours, merged onto den 1
+@example(StepFn((0, HALF, 1), (StepFn((0, 1), (1,)), StepFn((0, 1), (1,)))))  # equal, not identical
+@given(raw_stepfns() | raw_level2)
+def test_canonicalize_skips_the_scan_exactly_when_it_keeps_every_piece(f):
+    ticks, values = _merged(zip(f.ticks[1:], f.values))
+    c = canonicalize(f)
+    if len(values) == f.pieces:
+        assert c is f
+    else:
+        g = gcd(f.den, *ticks)
+        assert fields(c) == (f.den // g, tuple(t // g for t in ticks), tuple(values))
 
 
 def per_point(space: FiniteSpace, points) -> set:

@@ -15,6 +15,7 @@ defaults, equality and ``to_dict`` read as before.
 from __future__ import annotations
 
 import pickle
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from hmstep.cli import Report, RunConfig, run
 from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space, product_space
 from hmstep.hm import SpaceMap, product_projections
 from hmstep.laws import FiberResult, LawFailure, LawReport, ProbeRow, Witnesses, build_witnesses
-from hmstep.stepfn import StepFn
+from hmstep.stepfn import StepFn, blocks, canonicalize, constant
 from hmstep.tower import DIAGONAL, MuCandidate, diagonal_flatten
 
 SPACE = make_discrete_space(3)
@@ -88,6 +89,26 @@ class TestValidatedTypes:
 def test_pickle_round_trip(name):
     x = VALIDATED[name][1]()
     assert pickle.loads(pickle.dumps(x)) == x
+
+
+STEPFN_PRODUCERS = {
+    "constructor": lambda: StepFn((0, "1/3", "1/2", 1), (1, 2, 1)),
+    "blocks": lambda: blocks((1, 2, 1)),
+    "constant": lambda: constant(constant(2)),
+    "merge": lambda: canonicalize(StepFn((0, "1/4", "1/2", 1), (1, 1, 2))),
+    "pickle.loads": lambda: pickle.loads(pickle.dumps(StepFn((0, "1/2", 1), (blocks((1, 2)), constant(3))))),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(STEPFN_PRODUCERS))
+def test_stepfn_has_no_dict_and_round_trips(producer):
+    f = STEPFN_PRODUCERS[producer]()
+    assert not hasattr(f, "__dict__")
+    copies = [pickle.loads(pickle.dumps(f, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for g in (*copies, deepcopy(f)):
+        assert g is not f and not hasattr(g, "__dict__")
+        assert g == f and hash(g) == hash(f)
+        assert (g.den, g.ticks, g.values) == (f.den, f.ticks, f.values)
 
 
 def test_exact_hashes_and_reprs():
