@@ -5,7 +5,9 @@ Validated types (``FiniteSpace``, ``TestFn``, ``Window``, ``StepFn``,
 ``SpaceMap``, ``MuCandidate``): equal instances hash
 equal, the hash is the hash of the field tuple, an instance of another class
 (a subclass included) compares unequal, the repr reads ``Name(field=...)``,
-and assignment and deletion raise ``AttributeError``.
+and assignment and deletion raise ``AttributeError``. A ``StepFn``, from
+any producer, has no ``__dict__`` and round-trips through ``pickle`` and
+``copy.deepcopy``.
 
 Records (``LawFailure``, ``LawReport``, ``ProbeRow``, ``FiberResult``,
 ``Witnesses``, ``RunConfig``, ``Report``): attribute access,
