@@ -21,7 +21,6 @@ from .stepfn import (
     constant,
     evaluate,
     format_stepfn,
-    measure_preimage,
     parse_stepfn,
     random_stepfn,
 )

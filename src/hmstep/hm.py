@@ -3,11 +3,12 @@
 Provides the integral metric d_hm, the window-average coordinates
 ``functional_eval(phi, window, f)``, the functor action of a point map, the
 pairing of two functions (``stepfn.pairing``, re-exported), the
-constant-function unit, and exact support predicates.
-Each operation checks its points against the base space and then calls a
-level-generic ``stepfn`` kernel, which ``tower`` nests one level up with the
-same (num, den) int tables, built by ``_distance_ratios`` and ``_weight_ratios``;
-the integer grid stays inside ``stepfn``. Results are exact rationals.
+constant-function unit, and exact support predicates, each decided by one
+full-window coordinate. Each operation checks its points against the base
+space and then calls a level-generic ``stepfn`` kernel, which ``tower`` nests
+one level up with the same (num, den) int tables, built by
+``_distance_ratios`` and ``_weight_ratios``; the integer grid stays inside
+``stepfn``. Results are exact rationals.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .stepfn import (
     StepFn,
     canonicalize,
     map_values,
-    measure_preimage,
     pairing,  # re-exported: hmstep.hm.pairing
     refinement_ratio,
     window_ratio,
@@ -158,32 +158,23 @@ def support(f: StepFn) -> frozenset:
 
 
 def support_criterion_check(space: FiniteSpace, f: StepFn, b_set) -> bool:
-    """Coordinate test for support containment: true iff every indicator of a
-    point outside ``b_set`` averages to zero over the full window (an
-    indicator is nonnegative, so over every window). ``b_set`` and f are
-    checked here, once, so each indicator goes straight to the kernel.
-    Agrees exactly with ``support(f) <= b_set``.
+    """Coordinate test for support containment: true iff the indicator of the
+    points outside ``b_set`` averages to zero over the full window. That
+    indicator is the sum of the nonnegative per-point ones, so its average is
+    zero exactly when each of theirs is, over every window. Agrees exactly
+    with ``support(f) <= b_set``.
     """
     targets = _check_points(space, b_set)
     if not targets:
         raise ValueError("the candidate support set must be nonempty")
-    points = _check_points(space, f.values)
-    return all(
-        window_ratio(f, _weight_ratios(TestFn.indicator(space, y), points), FULL_WINDOW)[0] == 0
-        for y in space.labels
-        if y not in targets
-    )
+    outside = TestFn(space, (0 if y in targets else 1 for y in space.labels))
+    return functional_eval(outside, FULL_WINDOW, f) == 0
 
 
 def support_membership_check(space: FiniteSpace, f: StepFn, x: object) -> bool:
-    """Coordinate test for membership of a point in the support: the witness
-    level is the total length of pieces at x, and the decisive [0,1]-valued
-    test function fixing x is its indicator (any other dominates it
-    pointwise). x and f are checked here, once, for both kernels. Agrees
-    exactly with ``x in support(f)``."""
+    """Coordinate test for membership of a point in the support: true iff the
+    indicator of x, the least [0,1]-valued test function that is 1 at x,
+    averages to more than zero over the full window. Agrees exactly with
+    ``x in support(f)``."""
     _check_points(space, (x,))
-    points = _check_points(space, f.values)
-    witness = measure_preimage(f, {x}, FULL_WINDOW)
-    if not witness:
-        return False
-    return Rat(*window_ratio(f, _weight_ratios(TestFn.indicator(space, x), points), FULL_WINDOW)) >= witness
+    return functional_eval(TestFn.indicator(space, x), FULL_WINDOW, f) > 0

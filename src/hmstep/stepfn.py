@@ -16,12 +16,12 @@ denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
 compare and measure in ints. Only this module reads the grid; ``laws.bump_fn``
 alone builds on it, through ``_trusted``. ``Rat`` appears only at the
 edges: the ``breakpoints`` view, the public constructor and parser, window
-ends, the cells of :func:`common_refinement` and :func:`measure_preimage`'s
-result. One calling convention: the pair kernels' callables return exact
-(num, den) int pairs, and so do they, unreduced over their running lcm, so a
-level-2 caller nests them and its public call builds one ``Rat``. They sum in
-one pass as they walk the ticks and build no cells; the one other pair walk
-builds ``pairing``, whose pieces are ``common_refinement``'s cells.
+ends and the cells of :func:`common_refinement`. One calling convention: the
+pair kernels' callables return exact (num, den) int pairs, and so do they,
+unreduced over their running lcm, so a level-2 caller nests them and its
+public call builds one ``Rat``. They sum in one pass as they walk the ticks
+and build no cells; the one other pair walk builds ``pairing``, whose pieces
+are ``common_refinement``'s cells.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor
 coerces and checks every partition, and :func:`parse_stepfn` checks only what
@@ -44,7 +44,7 @@ from math import gcd, lcm
 from operator import attrgetter, lt, ne
 from typing import NamedTuple
 
-from .core import FULL_WINDOW, ONE, ZERO, FiniteSpace, Frozen, Rat, Window, as_rat
+from .core import ONE, ZERO, FiniteSpace, Frozen, Rat, Window, as_rat
 
 
 class StepFn(Frozen):
@@ -125,7 +125,7 @@ def _trusted(den: int, ticks: tuple[int, ...], values: tuple) -> StepFn:
     """A ``StepFn`` over a partition already known to be valid, built without
     coercion or checks and stored as given: int ticks from 0 to den in order,
     one value per piece, den the least. Only a merge can leave a larger den,
-    so ``_canonical`` and ``canonicalize`` reduce their grids before this."""
+    so ``_canonical`` reduces its grid before this."""
     f = object.__new__(StepFn)
     _setattr(f, "den", den)
     _setattr(f, "ticks", ticks)
@@ -184,8 +184,7 @@ def canonicalize(f: StepFn) -> StepFn:
     ticks, values = f.ticks, f.values
     if all(map(lt, ticks, ticks[1:])) and all(map(ne, values, values[1:])):
         return f
-    ticks, vals = _merged(zip(ticks[1:], values))
-    return _trusted(*_reduced(f.den, ticks), tuple(vals))
+    return _canonical(f.den, zip(ticks[1:], values))
 
 
 def constant(value: object) -> StepFn:
@@ -323,13 +322,6 @@ def diagonal(F: StepFn) -> StepFn:
                 end = ticks[i + 1] * sg
                 pieces.append((end if end <= v else v, g.values[i]))
     return _canonical(den, pieces)
-
-
-def measure_preimage(f: StepFn, value_set: Iterable, window: Window = FULL_WINDOW) -> Rat:
-    """Exact total length of {t in window : f(t) in value_set}: the mean over the
-    window of the window's length on value_set and 0 elsewhere."""
-    targets, length = frozenset(value_set), window.length.as_integer_ratio()
-    return Rat(*window_ratio(f, lambda v: length if v in targets else (0, 1), window))
 
 
 def as_rng(seed: int | random.Random) -> random.Random:

@@ -44,17 +44,6 @@ def oracle_d_hm2(space: FiniteSpace, F: StepFn, G: StepFn) -> Fraction:
     return total
 
 
-def oracle_measure(f: StepFn, targets: frozenset, window: Window) -> Fraction:
-    total = Fraction(0)
-    bps = merged_breakpoints(f, extra=(window.a, window.b))
-    for a, b in zip(bps, bps[1:]):
-        if b > a and window.a <= a and b <= window.b:
-            mid = (a + b) / 2
-            if evaluate(f, mid) in targets:
-                total += b - a
-    return total
-
-
 def oracle_functional(phi, window: Window, f: StepFn) -> Fraction:
     """Window average of phi(f(t)) via a midpoint scan."""
     total = Fraction(0)

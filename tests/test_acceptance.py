@@ -242,27 +242,37 @@ def test_12_probe_budget_edge_command():
     )
 
 
+PEAK_LINE = """
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+def _child_peak(code: str) -> tuple[list[bytes], float, float]:
+    """Run code in a fresh interpreter and return the words it prints, its peak
+    in MB and the wall time. The peak is Linux's VmHWM, the child's own:
+    ru_maxrss would also count the test process's peak, which the child
+    carries across its exec."""
+    src = str(Path(hmstep.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code + PEAK_LINE], env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr.decode()
+    *words, kb = proc.stdout.split()
+    return words, int(kb) / 1024, elapsed
+
+
 CHAIN_MEMORY_CHILD = """
-import resource, sys
 from hmstep.laws import forced_value_chain
 from hmstep.tower import DIAGONAL
 report = forced_value_chain(1000, DIAGONAL)
-kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(report.verdict, sum(ok for _, ok in report.steps), kb)
+print(report.verdict, sum(ok for _, ok in report.steps))
 """
 
 
 def test_13_chain_memory():
-    # a fresh interpreter, so the peak is the chain's own (Linux ru_maxrss is in KiB)
-    src = str(Path(hmstep.__file__).resolve().parent.parent)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", CHAIN_MEMORY_CHILD], env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60
-    )
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr.decode()
-    verdict, held, kb = proc.stdout.split()
-    peak_mb = int(kb) / 1024
+    (verdict, held), peak_mb, elapsed = _child_peak(CHAIN_MEMORY_CHILD)
     ok = verdict == b"pass" and int(held) == 5 and peak_mb < 100
     _finish(
         "chain-memory",
@@ -277,24 +287,13 @@ PROBE_ROW_MEMORY_CHILD = """
 from hmstep.laws import discontinuity_probe
 from hmstep.tower import DIAGONAL
 rows = discontinuity_probe(DIAGONAL, 65536, 65536)
-kb = next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-print(len(rows), rows[0].n, rows[0].holds, kb)
+print(len(rows), rows[0].n, rows[0].holds)
 """
 
 
 def test_14_probe_row_memory():
-    # one probe row at a scaled edge, n = 2**16, in a fresh interpreter. Its peak is
-    # Linux's VmHWM in KiB: ru_maxrss would also count the test process's own peak,
-    # which the child carries across its exec
-    src = str(Path(hmstep.__file__).resolve().parent.parent)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE_ROW_MEMORY_CHILD], env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60
-    )
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr.decode()
-    count, n, holds, kb = proc.stdout.split()
-    peak_mb = int(kb) / 1024
+    # one probe row at a scaled edge, n = 2**16
+    (count, n, holds), peak_mb, elapsed = _child_peak(PROBE_ROW_MEMORY_CHILD)
     ok = (count, n, holds) == (b"1", b"65536", b"True") and peak_mb < 45
     _finish(
         "probe-row-memory",

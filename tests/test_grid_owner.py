@@ -7,9 +7,10 @@ Checked here:
   nor ``gcd``, nothing from ``bisect``, and read no ``ticks`` or ``den``
   attribute; the one private ``stepfn`` import in ``laws`` is ``_trusted``
   (for ``bump_fn``, whose partition on the 1/n grid is known canonical);
-  inside ``stepfn`` only ``_canonical``, ``canonicalize``, ``constant`` and
-  ``blocks`` (for distinct neighbours) call ``_trusted``, so every other
-  producer builds through the one merge scan;
+  inside ``stepfn`` only ``_canonical``, ``constant`` and ``blocks`` (for
+  distinct neighbours) call ``_trusted``, so every other producer builds
+  through the one merge scan; inside ``hm`` only ``functional_eval`` calls
+  the ``window_ratio`` kernel, so both support checks decide by a coordinate;
 * behaviourally, whatever builds without the merge scan: every producer's
   output, on raw inputs with zero-length and mergeable pieces, is a fixed
   point of ``canonicalize``;
@@ -19,9 +20,10 @@ Checked here:
 * the support criterion, which decides on the full window, against the
   all-spans definition it replaced: every indicator of a point outside the
   set averages to zero over every window spanned by the canonical
-  breakpoints, each average recomputed by a midpoint scan. Inputs are raw,
-  with zero-length and mergeable pieces, over ``default_spaces()`` (the
-  table space included).
+  breakpoints, each average recomputed by a midpoint scan; and the
+  membership check at every label against ``support``. Inputs are raw, with
+  zero-length and mergeable pieces, over ``default_spaces()`` (the table
+  space included).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from hypothesis import strategies as st
 
 import hmstep
 from hmstep.core import TestFn, Window
-from hmstep.hm import support, support_criterion_check
+from hmstep.hm import support, support_criterion_check, support_membership_check
 from hmstep.laws import bump_fn, default_spaces, nested_bumps_fn, staircase_fn
 from hmstep.stepfn import StepFn, blocks, canonicalize, constant, diagonal, map_values, pairing
 
@@ -85,12 +87,20 @@ def _calls(node: ast.AST, name: str) -> int:
     return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name for n in ast.walk(node))
 
 
+def _callers(module: str, name: str) -> set[str]:
+    """The functions of a module that call name, checking that nothing calls it outside them."""
+    tree = _tree(module)
+    counts = {fn.name: _calls(fn, name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert sum(counts.values()) == _calls(tree, name), f"{name} is called outside any function"
+    return {fn for fn, count in counts.items() if count}
+
+
 def test_stepfn_builds_trusted_only_through_the_merge_scan_and_constant():
-    tree = _tree("stepfn")
-    callers = {fn.name: _calls(fn, "_trusted") for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    callers = {name: count for name, count in callers.items() if count}
-    assert set(callers) == {"_canonical", "canonicalize", "constant", "blocks"}
-    assert sum(callers.values()) == _calls(tree, "_trusted"), "_trusted is called outside any function"
+    assert _callers("stepfn", "_trusted") == {"_canonical", "constant", "blocks"}
+
+
+def test_hm_calls_the_window_kernel_only_in_functional_eval():
+    assert _callers("hm", "window_ratio") == {"functional_eval"}
 
 
 def test_tower_takes_every_table_from_hm():
@@ -148,6 +158,7 @@ def test_support_criterion_agrees_with_all_spans_and_support(case):
     space, f, b_set = case
     got = support_criterion_check(space, f, b_set)
     assert got == all_spans_criterion(f, b_set, space) == (support(f) <= b_set)
+    assert all(support_membership_check(space, f, x) == (x in support(f)) for x in space.labels)
 
 
 @st.composite

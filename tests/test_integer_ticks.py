@@ -15,9 +15,9 @@ view built from them. Checked here:
   ``pairing``'s walk hands the merge scan one piece per breakpoint of its
   canonical inputs, so a shared breakpoint advances both pointers at once;
 * the kernels, through their level-1 callers: ``functional_eval`` (window
-  averages), preimage measures and ``d_hm`` (refinement integrals), with
-  window ends off the step function's grid (such as (1/7, 3/11)) and a table
-  metric, against midpoint oracles in ``Fraction`` arithmetic.
+  averages) and ``d_hm`` (refinement integrals), with window ends off the
+  step function's grid (such as (1/7, 3/11)) and a table metric, against
+  midpoint oracles in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from hmstep.stepfn import (
     blocks,
     canonicalize,
     map_values,
-    measure_preimage,
 )
 from hmstep.tower import REMAP_LAST, diagonal_flatten
 
-from conftest import merged_breakpoints, oracle_d_hm, oracle_functional, oracle_measure
+from conftest import merged_breakpoints, oracle_d_hm, oracle_functional
 
 TABLE = fixed_rational_space()
 
@@ -230,11 +229,6 @@ phi = TestFn(TABLE, (Fraction(-1, 3), Fraction(2, 5), Fraction(7), Fraction(5, 6
 @given(raw_stepfns(values=table_points), windows)
 def test_functional_eval(f, window):
     assert functional_eval(phi, window, f) == oracle_functional(phi, window, f)
-
-
-@given(raw_stepfns(values=table_points), windows, st.sets(table_points))
-def test_measure_preimage(f, window, targets):
-    assert measure_preimage(f, targets, window) == oracle_measure(f, frozenset(targets), window)
 
 
 @given(raw_stepfns(values=table_points), raw_stepfns(values=table_points))

@@ -1,16 +1,15 @@
-"""Step functions: canonical form, refinement, evaluation, measure,
-generation, serialization."""
+"""Step functions: canonical form, refinement, evaluation, generation,
+serialization."""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hmstep.core import FULL_WINDOW, FiniteSpace, Window, make_discrete_space, product_space
+from hmstep.core import FiniteSpace, make_discrete_space, product_space
 from hmstep.stepfn import (
     RefinementCell,
     StepFn,
@@ -19,12 +18,10 @@ from hmstep.stepfn import (
     constant,
     evaluate,
     format_stepfn,
-    measure_preimage,
     parse_stepfn,
     random_stepfn,
 )
 
-from conftest import oracle_measure
 
 K3 = make_discrete_space(3)
 
@@ -159,40 +156,6 @@ class TestCommonRefinement:
             mid = (c.start + c.end) / 2
             assert evaluate(f, mid) == c.left
             assert evaluate(g, mid) == c.right
-
-
-class TestMeasurePreimage:
-    def test_staircase_single_level(self):
-        f = staircase(4)
-        assert measure_preimage(f, {2}, FULL_WINDOW) == Fraction(1, 4)
-        assert measure_preimage(f, {1, 2, 3, 4}, FULL_WINDOW) == 1
-        assert measure_preimage(f, {9}, FULL_WINDOW) == 0
-
-    def test_restricted_window(self):
-        f = staircase(2)
-        w = Window(Fraction(1, 4), Fraction(3, 4))
-        assert measure_preimage(f, {1}, w) == Fraction(1, 4)
-        assert measure_preimage(f, {2}, w) == Fraction(1, 4)
-
-    def test_additive_over_disjoint_value_sets(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            f = random_stepfn(K3, rng.randint(1, 10), rng)
-            w = Window(Fraction(1, 8), Fraction(7, 8))
-            total = sum(
-                (measure_preimage(f, {x}, w) for x in K3.labels), Fraction(0)
-            )
-            assert total == w.length
-
-    def test_agrees_with_midpoint_oracle(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            f = random_stepfn(K3, rng.randint(1, 10), rng)
-            targets = frozenset(rng.sample(K3.labels, rng.randint(1, 3)))
-            den = rng.randint(1, 8)
-            i = rng.randint(0, den - 1)
-            w = Window(Fraction(i, den), Fraction(rng.randint(i + 1, den), den))
-            assert measure_preimage(f, targets, w) == oracle_measure(f, targets, w)
 
 
 class TestRandomStepFn:
