@@ -288,9 +288,5 @@ class Window(Frozen):
             raise ValueError(f"window endpoints must satisfy 0 <= a < b <= 1, got ({a}, {b})")
         self._set(a=a, b=b, ratios=(a.as_integer_ratio(), b.as_integer_ratio()))
 
-    @property
-    def length(self) -> Rat:
-        return self.b - self.a
-
 
 FULL_WINDOW = Window(ZERO, ONE)

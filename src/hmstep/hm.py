@@ -127,8 +127,7 @@ def d_hm(space: FiniteSpace, f: StepFn, g: StepFn) -> Rat:
 
     Zero exactly when the canonical forms coincide; bounded by 1.
     """
-    _check_points(space, f.values)
-    _check_points(space, g.values)
+    _check_points(space, f.values + g.values)
     return Rat(*refinement_ratio(f, g, _distance_ratios(space)))
 
 
@@ -175,6 +174,5 @@ def support_membership_check(space: FiniteSpace, f: StepFn, x: object) -> bool:
     """Coordinate test for membership of a point in the support: true iff the
     indicator of x, the least [0,1]-valued test function that is 1 at x,
     averages to more than zero over the full window. Agrees exactly with
-    ``x in support(f)``."""
-    _check_points(space, (x,))
+    ``x in support(f)``; the indicator refuses a non-point x."""
     return functional_eval(TestFn.indicator(space, x), FULL_WINDOW, f) > 0

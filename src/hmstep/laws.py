@@ -203,8 +203,6 @@ def build_witnesses(n: int) -> Witnesses:
     """Construct the full witness record and assert its definitional
     identities (projections of the diagonal staircase, collapse of the
     nested rows)."""
-    if n < 1:
-        raise ValueError("witness index must be at least 1")
     base = make_discrete_space(n)
     pairs = product_space(base, base)
     two_point = FiniteSpace((0, 1))
@@ -503,8 +501,6 @@ def fiber_uniqueness(n: int) -> FiberResult:
     values to the n * FIBER_GRID uniform cells that this decision covers, at
     every grid alike. The command line bounds n before it asks; this does not.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     base = make_discrete_space(n)
     left_proj, right_proj = product_projections(product_space(base, base))
     staircase = staircase_fn(n)

@@ -157,19 +157,14 @@ def _merged(pieces: Iterable[tuple[int, object]]) -> tuple[list[int], list]:
     return ticks, vals
 
 
-def _reduced(den: int, ticks: list[int]) -> tuple[int, tuple[int, ...]]:
-    """den and merged ticks over their greatest common factor: the least grid
-    once a merge has dropped the breakpoints that needed a larger one."""
-    g = gcd(den, *ticks)
-    if g > 1:
-        return den // g, tuple(t // g for t in ticks)
-    return den, tuple(ticks)
-
-
 def _canonical(den: int, pieces: Iterable[tuple[int, object]]) -> StepFn:
     """The canonical step function of checked (end tick, value) pieces from 0 to den."""
     ticks, vals = _merged(pieces)
-    return _trusted(*_reduced(den, ticks), tuple(vals))
+    # a merge may drop the breakpoints that needed den: reduce, and build no second tuple when g == 1
+    g = gcd(den, *ticks)
+    if g > 1:
+        return _trusted(den // g, tuple(t // g for t in ticks), tuple(vals))
+    return _trusted(den, tuple(ticks), tuple(vals))
 
 
 def canonicalize(f: StepFn) -> StepFn:

@@ -15,8 +15,16 @@ from pathlib import Path
 
 import hmstep
 
-from hmstep.cli import DEFAULT_PROBE_BUDGET, emit_report, parse_config, run
+from hmstep.cli import (
+    DEFAULT_FIBER_BUDGET,
+    DEFAULT_PROBE_BUDGET,
+    DEFAULT_SAMPLE_BUDGET,
+    emit_report,
+    parse_config,
+    run,
+)
 from hmstep.laws import (
+    FIBER_GRID,
     check_associativity,
     check_coordinate_naturality,
     check_linearity,
@@ -301,4 +309,49 @@ def test_14_probe_row_memory():
         elapsed,
         5.0,
         f"the probe row n=65536 holds at {peak_mb:.0f} MB max RSS (limit 45 MB)",
+    )
+
+
+EDGE_CHILD = """
+import resource
+from hmstep.cli import parse_config, run
+code, report = run(parse_config({argv!r}))
+print("ok" if code == 0 else "fail", len(report.suites), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def _edge_peak(argv: list[str]) -> tuple[bytes, int, float, float]:
+    """Run one command in a fresh child: its verdict, its suite count, the larger
+    of its own peak and its forked workers' in MB, and the wall time."""
+    (verdict, suites, workers_kb), peak_mb, elapsed = _child_peak(EDGE_CHILD.format(argv=argv))
+    return verdict, int(suites), max(peak_mb, int(workers_kb) / 1024), elapsed
+
+
+def test_15_sample_budget_edge_memory():
+    # 1000 samples at the default grid 12 is exactly the sample budget
+    assert 1000 * 12 == DEFAULT_SAMPLE_BUDGET
+    verdict, suites, peak_mb, elapsed = _edge_peak(["lemmas", "--samples", "1000"])
+    # measured about 17 MB and 0.5 s; importing hmstep.cli alone peaks at about 16 MB
+    ok = verdict == b"ok" and suites == 8 and peak_mb < 22
+    _finish(
+        "sample-budget-edge-memory",
+        ok,
+        elapsed,
+        5.0,
+        f"lemmas --samples 1000 passes at {peak_mb:.0f} MB max RSS (limit 22 MB)",
+    )
+
+
+def test_16_fiber_budget_edge_memory():
+    # 79 is the largest n whose cells times labels fit the fiber budget
+    assert 79**3 * FIBER_GRID <= DEFAULT_FIBER_BUDGET < 80**3 * FIBER_GRID
+    verdict, suites, peak_mb, elapsed = _edge_peak(["fiber", "--n-range", "1:79"])
+    # measured about 16 MB and 0.1 s, no more than importing hmstep.cli alone
+    ok = verdict == b"ok" and suites == 79 and peak_mb < 22
+    _finish(
+        "fiber-budget-edge-memory",
+        ok,
+        elapsed,
+        5.0,
+        f"fiber --n-range 1:79 finds every fiber unique at {peak_mb:.0f} MB max RSS (limit 22 MB)",
     )

@@ -5,6 +5,8 @@ an empty block list, unbalanced value text, an outer, middle or inner grid
 of 0, a test function on the wrong space and an unknown report format. A value that
 cannot be hashed is no point of any space, so a point map or support set
 holding one is refused as "is not a point", the message ``index_of`` gives.
+The witness record and the fiber decision refuse n < 1 once, with the
+message of ``make_discrete_space``, their first call.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from hmstep.cli import RunConfig, emit_report, run
 from hmstep.core import FiniteSpace, TestFn, make_discrete_space
 from hmstep.hm import SpaceMap, compose_testfn, support_criterion_check
+from hmstep.laws import build_witnesses, fiber_uniqueness
 from hmstep.stepfn import blocks, constant, parse_value
 from hmstep.tower import random_stepfn2, random_stepfn3
 
@@ -51,3 +54,10 @@ def _yaml_report():
 def test_refused_with_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("n", (0, -1))
+@pytest.mark.parametrize("build", (build_witnesses, fiber_uniqueness))
+def test_n_below_one_is_refused_by_the_discrete_space(build, n):
+    with pytest.raises(ValueError, match="^a discrete space needs at least one point$"):
+        build(n)

@@ -173,11 +173,11 @@ class TestTestFn:
 
 class TestWindow:
     def test_full_window(self):
-        assert FULL_WINDOW.a == 0 and FULL_WINDOW.b == 1 and FULL_WINDOW.length == 1
+        assert FULL_WINDOW.a == 0 and FULL_WINDOW.b == 1 and FULL_WINDOW.b - FULL_WINDOW.a == 1
 
     def test_endpoints_zero_one_permitted(self):
         w = Window(0, Fraction(1, 3))
-        assert w.length == Fraction(1, 3)
+        assert w.b - w.a == Fraction(1, 3)
         Window(Fraction(2, 3), 1)
 
     def test_rejects_degenerate_and_out_of_range(self):

@@ -11,6 +11,10 @@
 * The level-1 metric and coordinate build their int tables the same way:
   ``d_hm`` converts each distinct pair of unequal values once and
   ``functional_eval`` each distinct point once, however many pieces repeat it.
+* The level-1 metric and the membership check check their points once:
+  ``d_hm`` makes one ``_check_points`` call over both functions' values, and
+  ``support_membership_check`` only ``functional_eval``'s, as the indicator
+  of x already refuses a non-point.
 * The witness towers skip the merge scan: ``nested_bumps_fn`` runs no
   ``_merged``, and checking the n² pairs of the nested rows against the
   product makes no ``FiniteSpace.__contains__`` call.
@@ -27,9 +31,9 @@ from pathlib import Path
 
 import pytest
 
-from hmstep import laws, stepfn, tower
+from hmstep import hm, laws, stepfn, tower
 from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space
-from hmstep.hm import _check_points, d_hm, functional_eval, hm_map, pairing, unit
+from hmstep.hm import _check_points, d_hm, functional_eval, hm_map, pairing, support_membership_check, unit
 from hmstep.laws import build_witnesses, fixed_rational_space, forced_value_chain, nested_bumps_fn
 from hmstep.stepfn import StepFn, blocks, constant, evaluate, format_stepfn
 from hmstep.tower import (
@@ -158,6 +162,24 @@ def test_level1_metric_and_coordinate_derive_ratios_once_per_pair_or_point(monke
         calls.clear()
         assert functional_eval(*coordinate, f) == mean
         assert len(calls) == 3  # of 60 pieces
+
+
+def test_level1_metric_and_membership_check_points_once(monkeypatch):
+    k3 = make_discrete_space(3)
+    f, g = blocks((1, 2, 3, 1)), blocks((2, 3))
+    checked = []
+    check = hm._check_points
+
+    def counting(space, points):
+        checked.append(points)
+        return check(space, points)
+
+    monkeypatch.setattr(hm, "_check_points", counting)
+    assert d_hm(k3, f, g) == Fraction(1, 2)
+    assert checked == [(1, 2, 3, 1, 2, 3)]
+    checked.clear()
+    assert support_membership_check(k3, f, 3) and not support_membership_check(k3, g, 1)
+    assert checked == [(1, 2, 3, 1), (2, 3)]  # functional_eval's, over the function's values
 
 
 def test_bump_tower_runs_no_merge_scan(monkeypatch):

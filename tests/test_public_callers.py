@@ -13,13 +13,16 @@ roots, then marking repeats until nothing new is marked:
   ``TARGETS`` so that they drop out when the tracer stops naming them, and
   ``HAND_WRITTEN``, each entry with its reason.
 
-Any name referenced, as a ``Name`` or an ``Attribute``, from the body of a
-live function or method is live. A public definition left unmarked fails the test.
+A function or class referenced from the body of a live function or method,
+as a ``Name`` or an ``Attribute``, is live; a method is live only when
+referenced as an attribute (``.name``), since no bare name reaches it. A
+public definition left unmarked fails the test.
 
 Known blind spot: names are matched by their short name, not by what they
-resolve to, so a dead method hides behind any live name it shares. A
+resolve to, so a dead method hides behind any live attribute it shares. A
 ``TestFn.constant`` classmethod, say, would count as called wherever
-``stepfn.constant`` is.
+``stepfn.constant`` is reached as ``stepfn.constant``, but no longer where
+``constant`` is called bare.
 """
 
 from __future__ import annotations
@@ -51,19 +54,20 @@ def _tracer_targets() -> set[str]:
 
 
 def _referenced(nodes) -> set[str]:
+    """The names the nodes reference: a bare ``Name`` as itself, an ``Attribute`` as ``.name``."""
     names = set()
     for root in nodes:
         for node in ast.walk(root):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names.add("." + node.attr)
     return names
 
 
 def _definitions() -> tuple[dict[str, list[ast.AST]], set[str]]:
-    """Every function and method by short name, with the names of every class,
-    and the names the roots reference."""
+    """Every function by short name, with the names of every class, every method
+    as ``.name``, and the names the roots reference."""
     defs: dict[str, list[ast.AST]] = {}
     roots: list[ast.AST] = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -80,18 +84,18 @@ def _definitions() -> tuple[dict[str, list[ast.AST]], set[str]]:
                 if not isinstance(member, DEFINITIONS) or member.name.startswith("__") and member.name.endswith("__"):
                     roots.append(member)
                 else:
-                    defs.setdefault(member.name, []).append(member)
+                    defs.setdefault("." + member.name, []).append(member)
     return defs, _referenced(roots)
 
 
 def test_every_public_name_has_a_caller():
-    defs, live = _definitions()
+    defs, referenced = _definitions()
     patterns = _tracer_targets() | set(HAND_WRITTEN)
-    live |= {name for name in defs if any(fnmatch(name, p) for p in patterns)}
-    frontier = set(live)
-    while frontier:
-        found = _referenced(node for name in frontier for node in defs.get(name, ()))
-        frontier = found - live
-        live |= found
-    dead = sorted(name for name in defs if not name.startswith("_") and name not in live)
+    referenced |= {key for key in defs if any(fnmatch(key.lstrip("."), p) for p in patterns)}
+    live: set[str] = set()
+    # a method ".name" is reached only as an attribute; a function or class "name" also bare
+    while frontier := {key for key in defs if key in referenced or "." + key in referenced} - live:
+        live |= frontier
+        referenced |= _referenced(node for key in frontier for node in defs[key])
+    dead = sorted(key.lstrip(".") for key in defs if not key.lstrip(".").startswith("_") and key not in live)
     assert dead == [], f"public names with no caller: {dead}"

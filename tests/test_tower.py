@@ -213,7 +213,7 @@ class TestIteratedFunctional:
                 - iterated_functional_eval(phi, inner, outer, G)
             )
             # window averages dilute by at most the inverse window lengths
-            assert lhs * inner.length * outer.length <= d_hm2(K3, F, G)
+            assert lhs * (inner.b - inner.a) * (outer.b - outer.a) <= d_hm2(K3, F, G)
 
 
 class TestMuCandidates:
