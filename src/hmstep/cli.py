@@ -94,7 +94,8 @@ def parse_config(argv: list[str]) -> RunConfig:
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS, metavar="command",
                         help="one of: " + ", ".join(COMMANDS) + " (default: %(default)s)")
-    parser.add_argument("--n-range", metavar="LOW:HIGH", help="witness index range (default %(default)s)")
+    parser.add_argument("--n-range", metavar="LOW:HIGH", help="witness index range (default %(default)s); "
+                        "all runs its fixed ranges and ignores it")
     parser.add_argument("--grid", type=int, help="denominator bound for the sampled functions of lemmas (default 12); "
                         "laws, fiber and probe ignore it")
     parser.add_argument("--samples", type=int, help="sample count per suite (default %(default)s)")

@@ -52,7 +52,6 @@ class Frozen:
     ``==`` (same class only), ``hash`` and ``repr`` read the attributes named by
     ``_fields``. A validating constructor writes its fields once, through ``_set``."""
 
-    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _set(self, **fields: object) -> None:

@@ -13,65 +13,77 @@ level's part as a callable, ``map_values``, ``refinement_ratio`` and
 
 The partition is stored on one integer grid: ``den`` is the least common
 denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
-compare and measure in ints. Only this module reads the grid; ``laws.bump_fn``
-alone builds on it, through ``_trusted``. ``Rat`` appears only at the
-edges: the ``breakpoints`` view, the public constructor and parser, window
-ends and the cells of :func:`common_refinement`. One calling convention: the
-pair kernels' callables return exact (num, den) int pairs, and so do they,
-unreduced over their running lcm, so a level-2 caller nests them and its
-public call builds one ``Rat``. They sum in one pass as they walk the ticks
-and build no cells; the one other pair walk builds ``pairing``, whose pieces
-are ``common_refinement``'s cells.
+compare and measure in ints. A ``StepFn`` is a tuple whose first item is a
+private tag, so it is built and compared in C and equals no other tuple (see
+the class). Only this module reads the grid; ``laws.bump_fn`` alone builds on
+it, through ``_trusted``. ``Rat`` appears only at the edges: the
+``breakpoints`` view, the public constructor and parser, window ends and the
+cells of :func:`common_refinement`. One calling convention: the pair kernels'
+callables return exact (num, den) int pairs, and so do they, unreduced over
+their running lcm, so a level-2 caller nests them and its public call builds
+one ``Rat``. They sum in one pass as they walk the ticks and build no cells;
+the one other pair walk builds ``pairing``, whose pieces are
+``common_refinement``'s cells.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor
 coerces and checks every partition, and :func:`parse_stepfn` checks only what
 it cannot see. Internal producers (``blocks``, ``map_values``,
 ``canonicalize``, ``pairing``, ``diagonal``) derive their partitions from
-checked inputs, so they run the one merge scan and build their canonical
-result once. Only a merge can drop the breakpoints that needed the larger
-den, so only merges reduce the grid. ``constant``'s partition is fixed;
-``blocks`` of distinct neighbours skips the scan, as n blocks are canonical,
-and shares one tick tuple per n; ``canonicalize`` of canonical input skips it.
+checked inputs, so they run the one merge scan and build their canonical result
+once, through ``_trusted``: one ``tuple.__new__``, no hook, no check. Only a
+merge can drop the breakpoints that needed the larger den, so only merges
+reduce the grid. ``constant``'s partition is fixed; ``blocks`` of distinct
+neighbours skips the scan, as n blocks are canonical, and shares one tick tuple
+per n; ``canonicalize`` of canonical input skips it.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter, lt, ne
 from typing import NamedTuple
 
-from .core import ONE, ZERO, FiniteSpace, Frozen, Rat, Window, as_rat
+from .core import ONE, ZERO, FiniteSpace, Rat, Window, as_rat
 
 
-class StepFn(Frozen):
+_TAG = object()  # the first item of every StepFn and of no other tuple
+_Layout = namedtuple("_Layout", ("tag", "den", "ticks", "values"))  # lends StepFn its field descriptors
+
+
+class StepFn(tuple):
     """Ticks over one denominator and per-piece values; not necessarily canonical.
 
-    ``StepFn(breakpoints, values)`` is the validating boundary: it coerces
-    every breakpoint to a ``Rat``, checks the partition shape (sorted
-    breakpoints from 0 to 1, one value per piece) and moves it onto the
-    integer grid, but deliberately admits zero-length and mergeable pieces
-    so that :func:`canonicalize` has something to do. Since ``den`` is the
-    least common denominator, equal partitions have equal fields, so ``hash``
-    and ``==`` (identity, then ticks and values: ``den`` is ``ticks[-1]``) mean
-    "same breakpoints, same values". Results derived from checked inputs are
-    built by ``_trusted`` instead. The three fields are slots: a ``StepFn`` has
-    no ``__dict__``, and pickles through ``_trusted``.
+    The tuple ``(_TAG, den, ticks, values)``, built by one ``tuple.__new__`` and
+    compared as a tuple, in C. No other tuple holds the private tag, so none,
+    ``(den, ticks, values)`` included, equals a ``StepFn``; ``hash`` leaves the tag
+    out, so it agrees across processes. As ``den`` is least, both mean "same
+    breakpoints, same values". The fields read through ``_Layout``'s C descriptors;
+    ``_Layout`` is no base, so no unvalidated ``_make`` or ``_replace`` comes along.
+
+    ``StepFn(breakpoints, values)`` is the validating boundary. It calls the hook
+    ``StepFn.__post_init__(None, breakpoints, values)`` through the class, where
+    perfbench's tracer counts it; the hook coerces every breakpoint to a ``Rat``,
+    checks the partition shape (sorted from 0 to 1, one value per piece) and
+    returns ``(den, ticks, values)`` on the grid, deliberately admitting zero-length
+    and mergeable pieces so that :func:`canonicalize` has something to do.
     """
 
-    __slots__ = _fields = ("den", "ticks", "values")
-    den: int
-    ticks: tuple[int, ...]
-    values: tuple
+    __slots__ = ()
+    den: int = _Layout.den
+    ticks: tuple[int, ...] = _Layout.ticks
+    values: tuple = _Layout.values
 
-    def __init__(self, breakpoints: Iterable[int | str | Rat], values: Iterable) -> None:
-        # a hook of its own: perfbench's tracer counts validated constructions by it
-        self.__post_init__(breakpoints, values)
+    def __new__(cls, breakpoints: Iterable[int | str | Rat], values: Iterable) -> StepFn:
+        return tuple.__new__(StepFn, (_TAG, *StepFn.__post_init__(None, breakpoints, values)))
 
-    def __post_init__(self, breakpoints: Iterable[int | str | Rat], values: Iterable) -> None:
+    def __post_init__(self, breakpoints: Iterable[int | str | Rat], values: Iterable) -> tuple:
+        if self is not None:
+            raise AttributeError("cannot rebuild a built StepFn")
         bps = tuple(as_rat(t) for t in breakpoints)
         vals = tuple(values)
         if len(bps) < 2:
@@ -84,29 +96,23 @@ class StepFn(Frozen):
         ticks = tuple(t.numerator * (den // t.denominator) for t in bps)
         if any(t1 < t0 for t0, t1 in zip(ticks, ticks[1:])):
             raise ValueError("breakpoints must be sorted")
-        if hasattr(self, "den"):
-            raise AttributeError("cannot rebuild a built StepFn")
-        _setattr(self, "den", den)
-        _setattr(self, "ticks", ticks)
-        _setattr(self, "values", vals)
+        return den, ticks, vals
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not StepFn:
-            return NotImplemented
-        return self.ticks == other.ticks and self.values == other.values
+    def __hash__(self) -> int:
+        return hash(self[1:])
 
-    __hash__ = Frozen.__hash__  # (den, ticks, values), which defining __eq__ would clear
+    def __repr__(self) -> str:
+        return f"StepFn(den={self[1]!r}, ticks={self[2]!r}, values={self[3]!r})"
 
     def __reduce__(self) -> tuple:
-        return _trusted, (self.den, self.ticks, self.values)
+        # required: without it a tuple subclass pickles through __getnewargs__,
+        # calling the validating __new__ with the whole tuple as its one argument
+        return _trusted, self[1:]
 
     @property
     def breakpoints(self) -> tuple[Rat, ...]:
         """The partition as ``Rat``s, built on demand from the ticks."""
-        den = self.den
-        return tuple(Rat(t, den) for t in self.ticks)
+        return tuple(Rat(t, self.den) for t in self.ticks)
 
     @property
     def pieces(self) -> int:
@@ -118,19 +124,12 @@ class StepFn(Frozen):
         return zip(bps, bps[1:], self.values)
 
 
-_setattr = object.__setattr__  # past Frozen's refusal, into the slots
-
-
 def _trusted(den: int, ticks: tuple[int, ...], values: tuple) -> StepFn:
     """A ``StepFn`` over a partition already known to be valid, built without
     coercion or checks and stored as given: int ticks from 0 to den in order,
     one value per piece, den the least. Only a merge can leave a larger den,
     so ``_canonical`` reduces its grid before this."""
-    f = object.__new__(StepFn)
-    _setattr(f, "den", den)
-    _setattr(f, "ticks", ticks)
-    _setattr(f, "values", values)
-    return f
+    return tuple.__new__(StepFn, (_TAG, den, ticks, values))
 
 
 def _merged(pieces: Iterable[tuple[int, object]]) -> tuple[list[int], list]:

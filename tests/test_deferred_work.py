@@ -104,7 +104,7 @@ def test_constant_is_trusted_and_unit_is_validated(monkeypatch):
 
     def counting(self, breakpoints, values):
         validated.append(values)
-        check(self, breakpoints, values)
+        return check(self, breakpoints, values)
 
     monkeypatch.setattr(StepFn, "__post_init__", counting)
     k2 = make_discrete_space(2)

@@ -41,6 +41,8 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # (``parse_value``, ``_split_top``, ``MAX_NESTING``) is reached through them.
 HAND_WRITTEN = {
     "parse_stepfn": "the inverse of format_stepfn, kept for a recheck command that reads reported step functions back",
+    "__reduce__": "StepFn's pickling, needed by any tuple subclass whose __new__ takes other arguments than the tuple",
+    "__call__": "SpaceMap's public call form, with which tests/test_hm.py composes maps",
 }
 
 

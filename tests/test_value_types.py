@@ -6,8 +6,10 @@ Validated types (``FiniteSpace``, ``TestFn``, ``Window``, ``StepFn``,
 equal, the hash is the hash of the field tuple, an instance of another class
 (a subclass included) compares unequal, the repr reads ``Name(field=...)``,
 and assignment and deletion raise ``AttributeError``. A ``StepFn``, from
-any producer, has no ``__dict__`` and round-trips through ``pickle`` and
-``copy.deepcopy``.
+any producer, has no ``__dict__``, round-trips through ``pickle`` and
+``copy.deepcopy``, and equals no plain tuple of its fields, tagged or not;
+its class leaves ``==`` and ``!=`` to ``tuple`` and has no ``_make`` or
+``_replace``.
 
 Records (``LawFailure``, ``LawReport``, ``ProbeRow``, ``FiberResult``,
 ``Witnesses``, ``RunConfig``, ``Report``): attribute access,
@@ -111,6 +113,20 @@ def test_stepfn_has_no_dict_and_round_trips(producer):
         assert g is not f and not hasattr(g, "__dict__")
         assert g == f and hash(g) == hash(f)
         assert (g.den, g.ticks, g.values) == (f.den, f.ticks, f.values)
+
+
+@pytest.mark.parametrize("producer", sorted(STEPFN_PRODUCERS))
+def test_stepfn_equals_no_plain_tuple(producer):
+    f = STEPFN_PRODUCERS[producer]()
+    fields = (f.den, f.ticks, f.values)
+    for other in (fields, (object(), *fields)):
+        assert f != other and other != f
+        assert (f == other) is False and (other == f) is False
+
+
+def test_stepfn_compares_as_a_tuple_and_has_no_unvalidated_builders():
+    assert "__eq__" not in vars(StepFn) and "__ne__" not in vars(StepFn)
+    assert not hasattr(StepFn, "_make") and not hasattr(StepFn, "_replace")
 
 
 def test_exact_hashes_and_reprs():
