@@ -13,7 +13,7 @@ one level up with the same (num, den) int tables, built by
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from operator import itemgetter
 
 from .core import (
@@ -34,18 +34,27 @@ from .stepfn import (
 )
 
 
+def _in_columns(space: FiniteSpace, points: Collection) -> bool:
+    """True iff every point is a plain pair on a structural product, checked by column."""
+    x, y = getattr(space, "factors", (None, None))
+    if x is None or set(map(type, points)) != {tuple} or set(map(len, points)) != {2}:
+        return False
+    try:  # an unhashable coordinate is no point; _check_points refuses it by name
+        firsts, seconds = map(itemgetter(0), points), map(itemgetter(1), points)
+        return all(map(x._index.__contains__, firsts)) and all(map(y._index.__contains__, seconds))
+    except TypeError:
+        return False
+
+
 def _check_points(space: FiniteSpace, points: Iterable) -> set:
     """The distinct points, each checked against the space: pairs on a structural
-    product by column against the factors' indexes, else (or on a miss) one by one."""
+    product by column (:func:`_in_columns`), else (or on a miss) one by one."""
     try:
         distinct = set(points)
     except TypeError as exc:  # no space holds an unhashable value
         raise ValueError(f"an unhashable value ({exc}) is not a point of the given space") from None
-    x, y = getattr(space, "factors", (None, None))
-    if x is not None and set(map(type, distinct)) == {tuple} and set(map(len, distinct)) == {2}:
-        firsts, seconds = set(map(itemgetter(0), distinct)), set(map(itemgetter(1), distinct))
-        if all(map(x._index.__contains__, firsts)) and all(map(y._index.__contains__, seconds)):
-            return distinct
+    if _in_columns(space, distinct):
+        return distinct
     for v in distinct:
         if v not in space:
             raise ValueError(f"{v!r} is not a point of the given space")
@@ -139,8 +148,9 @@ def functional_eval(phi: TestFn, window: Window, f: StepFn) -> Rat:
 
 def hm_map(h: SpaceMap, f: StepFn) -> StepFn:
     """Post-compose f with the point map h; the canonical result never has
-    more pieces than f."""
-    _check_points(h.source, f.values)
+    more pieces than f. Pairs on a product are checked by column, with no set built."""
+    if not _in_columns(h.source, f.values):
+        _check_points(h.source, f.values)
     return map_values(f, h.rule)  # the points are checked above
 
 

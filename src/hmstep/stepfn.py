@@ -33,8 +33,8 @@ checked inputs, so they run the one merge scan and build their canonical result
 once, through ``_trusted``: one ``tuple.__new__``, no hook, no check. Only a
 merge can drop the breakpoints that needed the larger den, so only merges
 reduce the grid. ``constant``'s partition is fixed; ``blocks`` of distinct
-neighbours skips the scan, as n blocks are canonical, and shares one tick tuple
-per n; ``canonicalize`` of canonical input skips it.
+neighbours skips the scan and shares one tick tuple per n; ``canonicalize`` and
+``map_values`` skip it when two passes find the result canonical on f's ticks.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 from operator import attrgetter, lt, ne
 from typing import NamedTuple
@@ -187,8 +188,11 @@ def constant(value: object) -> StepFn:
 
 
 def map_values(f: StepFn, fn: Callable[[object], object]) -> StepFn:
-    """The canonical form of fn ∘ f: fn applied to every stored value."""
-    return _canonical(f.den, zip(f.ticks[1:], map(fn, f.values)))
+    """The canonical form of fn ∘ f, fn applied once per value; on f's own ticks, unscanned, when canonical there."""
+    ticks, values = f.ticks, tuple(map(fn, f.values))
+    if all(map(ne, values, values[1:])) and all(map(lt, ticks, ticks[1:])):  # images merge more often than ticks
+        return _trusted(f.den, ticks, values)
+    return _canonical(f.den, zip(ticks[1:], values))
 
 
 def evaluate(f: StepFn, t: int | str | Rat) -> object:
@@ -305,16 +309,22 @@ def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window:
 
 def diagonal(F: StepFn) -> StepFn:
     """The canonical s ↦ F(s)(s) for step-function values F(s): per outer piece of
-    positive length, the inner pieces meeting it, clipped, over the lcm of every den."""
+    positive length, the inner pieces meeting it, clipped, over the lcm of every den.
+    A one-piece F or inner function (each unit's nesting) needs no search."""
+    if len(F.values) == 1:
+        return canonicalize(F.values[0])
     den = lcm(F.den, *map(attrgetter("den"), F.values))
     s = den // F.den
     pieces = []
     for u, v, g in zip(F.ticks, F.ticks[1:], F.values):
         if v > u:
             u, v, sg, ticks = u * s, v * s, den // g.den, g.ticks
-            for i in _meeting(ticks, sg, u, v):
-                end = ticks[i + 1] * sg
-                pieces.append((end if end <= v else v, g.values[i]))
+            if len(ticks) == 2:
+                pieces.append((v, g.values[0]))
+            else:
+                for i in _meeting(ticks, sg, u, v):
+                    end = ticks[i + 1] * sg
+                    pieces.append((end if end <= v else v, g.values[i]))
     return _canonical(den, pieces)
 
 
@@ -346,7 +356,7 @@ def random_stepfn(space: FiniteSpace, grid_denominator: int, seed: int | random.
     if grid_denominator < 1:
         raise ValueError("grid denominator must be at least 1")
     rng = as_rng(seed)
-    return blocks(rng.choice(space.labels) for _ in range(grid_denominator))
+    return blocks(map(rng.choice, repeat(space.labels, grid_denominator)))
 
 
 # Text serialization: breakpoints and values alternate, "t_0 v_1 t_1 ... t_k".

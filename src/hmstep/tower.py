@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable
 
 from .core import FiniteSpace, Frozen, Rat, TestFn, Window, ZERO
@@ -42,9 +42,8 @@ StepFn3 = StepFn
 
 def _check_nested(F: StepFn, space: FiniteSpace | None = None) -> set:
     """Check that the values are step functions; given a space, return the checked inner points."""
-    for v in F.values:
-        if not isinstance(v, StepFn):
-            raise ValueError("expected a nested step function (values must be step functions)")
+    if not all(map(isinstance, F.values, repeat(StepFn))):
+        raise ValueError("expected a nested step function (values must be step functions)")
     return set() if space is None else _check_points(space, chain.from_iterable(g.values for g in F.values))
 
 

@@ -11,7 +11,8 @@ roots, then marking repeats until nothing new is marked:
 * dunder methods, which Python calls itself;
 * an allowlist: the attributes ``perfbench/tracer.py`` wraps, read from its
   ``TARGETS`` so that they drop out when the tracer stops naming them, and
-  ``HAND_WRITTEN``, each entry with its reason.
+  ``HAND_WRITTEN``, each entry with its reason. Each entry must name a
+  function, method or class defined in the package, so a stale excuse fails.
 
 A function or class referenced from the body of a live function or method,
 as a ``Name`` or an ``Attribute``, is live; a method is live only when
@@ -101,3 +102,14 @@ def test_every_public_name_has_a_caller():
         referenced |= _referenced(node for key in frontier for node in defs[key])
     dead = sorted(key.lstrip(".") for key in defs if not key.lstrip(".").startswith("_") and key not in live)
     assert dead == [], f"public names with no caller: {dead}"
+
+
+def test_every_hand_written_entry_names_a_definition():
+    defined = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, DEFINITIONS)
+    }
+    stale = sorted(entry for entry in HAND_WRITTEN if not any(fnmatch(name, entry) for name in defined))
+    assert stale == [], f"HAND_WRITTEN entries naming no definition in hmstep: {stale}"

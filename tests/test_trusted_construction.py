@@ -7,7 +7,9 @@ written out below (not by the merge scan, which ``canonicalize`` runs),
 every breakpoint is a ``Fraction``, and ``canonicalize`` hands a canonical
 function back unchanged. The fast ``canonicalize`` and ``diagonal_flatten``
 are compared with midpoint oracles that rebuild the canonical form through
-the public constructor.
+the public constructor; so are the flatten's two searchless cases, a
+one-piece outer function and one-piece inner functions (the unit's two
+nestings), on raw inputs with zero-length and mergeable pieces.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hmstep.core import FiniteSpace
@@ -166,6 +168,27 @@ def test_bump_fn(n):
 
 @given(raw_level2)
 def test_diagonal_flatten_of_raw_input_matches_the_oracle(F):
+    f = diagonal_flatten(F)
+    assert_trusted_ok(f)
+    assert f == oracle_flatten(F)
+
+
+@example(StepFn((0, Fraction(1, 2), Fraction(1, 2), 1), (1, 2, 2)))  # a zero-length piece, then a merge
+@given(raw_stepfns())
+def test_diagonal_flatten_of_a_one_piece_outer_function_matches_the_oracle(g):
+    F = StepFn((0, 1), (g,))
+    f = diagonal_flatten(F)
+    assert_trusted_ok(f)
+    assert f == oracle_flatten(F) == canonicalize(g)
+
+
+one_piece = st.sampled_from((1, 2, 3)).map(constant)
+
+
+@example(StepFn((0, Fraction(1, 3), Fraction(1, 3), 1), (constant(1), constant(2), constant(1))))
+@example(StepFn((0, Fraction(1, 2), 1), (constant(1), StepFn((0, Fraction(1, 3), 1), (1, 2)))))
+@given(raw_stepfns(values=one_piece) | raw_stepfns(values=one_piece | raw_stepfns()))
+def test_diagonal_flatten_of_one_piece_inner_functions_matches_the_oracle(F):
     f = diagonal_flatten(F)
     assert_trusted_ok(f)
     assert f == oracle_flatten(F)
