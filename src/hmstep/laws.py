@@ -10,15 +10,17 @@ for each failure.
 
 A sampled suite is one trial run by ``_run_suite``: the runner owns the seeded
 stream, the sample loop and the report, and the trial draws one sample from
-the stream and returns an iterator of the failures of the checks that do not
-hold. An equality check returns ``_differs``, which builds its witness text
-only for sides that differ; an order check writes its own, only on failure.
+the stream and returns the failures of the checks that do not hold, in order:
+``()`` if all hold. An equality check returns ``_differs``, ``()`` or the one
+failure, whose witness text it builds only then; an order check writes its own,
+only on failure; the unit-law trial compares both flats with f before it builds
+any witness, so a passing sample builds neither text nor closure.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable
 from itertools import count, repeat
 from typing import NamedTuple
 
@@ -244,11 +246,10 @@ def _run_suite(law: str, samples: int, seed: int, trial: Callable, candidate: st
 
 def _differs(
     expected: object, actual: object, describe: Callable[[], str], show: Callable = str
-) -> Iterator[LawFailure]:
-    """The failure of one equality check, if its sides differ; only then are
-    the ``describe`` thunk and ``show`` called to write the witness."""
-    if expected != actual:
-        yield LawFailure(describe(), show(expected), show(actual))
+) -> tuple[LawFailure, ...]:
+    """The failure of one equality check, if its sides differ, else ``()``; only
+    then are the ``describe`` thunk and ``show`` called to write the witness."""
+    return (LawFailure(describe(), show(expected), show(actual)),) if expected != actual else ()
 
 
 def _random_window(rng: random.Random, max_den: int = 12) -> Window:
@@ -295,7 +296,7 @@ def default_spaces(max_size: int = 4) -> list[FiniteSpace]:
 
 def check_linearity(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """Window averages are linear in the test function."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         phi1 = TestFn(space, _random_rats(rng, space.n))
@@ -314,7 +315,7 @@ def check_linearity(spaces: list[FiniteSpace], samples: int, seed: int, grid: in
 
 def check_monotonicity(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """Window averages respect pointwise order of test functions."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         phi1 = TestFn(space, _random_rats(rng, space.n))
@@ -332,7 +333,7 @@ def check_monotonicity(spaces: list[FiniteSpace], samples: int, seed: int, grid:
 
 def check_coordinate_naturality(samples: int, seed: int, grid: int = 12) -> LawReport:
     """Averaging phi after a point map equals averaging phi∘map before it."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         src = make_discrete_space(rng.randint(1, 5))
         dst = make_discrete_space(rng.randint(1, 5))
         h = SpaceMap(src, dst, tuple(rng.choice(dst.labels) for _ in src.labels))
@@ -349,7 +350,7 @@ def check_coordinate_naturality(samples: int, seed: int, grid: int = 12) -> LawR
 
 def check_unit_coordinate(spaces: list[FiniteSpace], samples: int, seed: int) -> LawReport:
     """Every window average of a constant function returns the test value."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         x = rng.choice(space.labels)
         phi = TestFn(space, _random_rats(rng, space.n))
@@ -363,7 +364,7 @@ def check_unit_coordinate(spaces: list[FiniteSpace], samples: int, seed: int) ->
 
 def check_support_criterion(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """The window-indicator criterion agrees with a direct piece scan."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         size = rng.randint(1, space.n)
@@ -378,7 +379,7 @@ def check_support_criterion(spaces: list[FiniteSpace], samples: int, seed: int, 
 
 def check_support_membership(spaces: list[FiniteSpace], samples: int, seed: int, grid: int = 12) -> LawReport:
     """The witness-level membership test agrees with a direct piece scan."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, grid), rng)
         x = rng.choice(space.labels)
@@ -409,7 +410,7 @@ def _metric_axioms(
     is exercised; ``letters`` name the triple in failure text."""
     index = count()
 
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         f = sample(space, rng)
         g = _split_variant(f, rng) if next(index) % 4 == 0 else sample(space, rng)
@@ -450,12 +451,15 @@ def check_metric_axioms_level2(spaces: list[FiniteSpace], samples: int, seed: in
 
 def check_unit_laws(mu: MuCandidate, spaces: list[FiniteSpace], samples: int, seed: int) -> LawReport:
     """Flattening either nesting of the unit must return the function."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         f = random_stepfn(space, rng.randint(1, _UNIT_GRID), rng)
-        for side, flat in (("inside", mu(h_eta(f))), ("outside", mu(eta_h(f)))):
-            describe = lambda: f"{_space_tag(space)} unit-{side} f={format_stepfn(f)}"
-            yield from _differs(f, flat, describe, format_stepfn)
+        inside, outside = mu(h_eta(f)), mu(eta_h(f))
+        if inside == f == outside:  # a passing sample builds no witness
+            return ()
+        shown = format_stepfn(f)
+        return [LawFailure(f"{_space_tag(space)} unit-{side} f={shown}", shown, format_stepfn(flat))
+                for side, flat in (("inside", inside), ("outside", outside)) if flat != f]
 
     return _run_suite("unit-laws", samples, seed, trial, mu.name)
 
@@ -463,7 +467,7 @@ def check_unit_laws(mu: MuCandidate, spaces: list[FiniteSpace], samples: int, se
 def check_associativity(mu: MuCandidate, spaces: list[FiniteSpace], samples: int, seed: int) -> LawReport:
     """Flattening the outer two levels first or the inner two levels first
     must agree on random level-3 functions."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         space = rng.choice(spaces)
         grid = _ASSOCIATIVITY_GRID
         F3 = random_stepfn3(space, rng.randint(1, grid), grid, grid, rng)
@@ -475,7 +479,7 @@ def check_associativity(mu: MuCandidate, spaces: list[FiniteSpace], samples: int
 
 def check_naturality(mu: MuCandidate, map_samples: int, seed: int) -> LawReport:
     """Flattening must commute with the functor action of any point map."""
-    def trial(rng: random.Random) -> Iterator[LawFailure]:
+    def trial(rng: random.Random) -> Iterable[LawFailure]:
         src = make_discrete_space(rng.randint(1, 4))
         dst = make_discrete_space(rng.randint(1, 4))
         h = SpaceMap(src, dst, tuple(rng.choice(dst.labels) for _ in src.labels))

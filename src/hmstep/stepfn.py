@@ -33,8 +33,9 @@ checked inputs, so they run the one merge scan and build their canonical result
 once, through ``_trusted``: one ``tuple.__new__``, no hook, no check. Only a
 merge can drop the breakpoints that needed the larger den, so only merges
 reduce the grid. ``constant``'s partition is fixed; ``blocks`` of distinct
-neighbours skips the scan and shares one tick tuple per n; ``canonicalize`` and
-``map_values`` skip it when two passes find the result canonical on f's ticks.
+neighbours skips the scan and shares one tick tuple per n; ``canonicalize``,
+``map_values`` and ``diagonal`` of one-piece inner functions (the inside unit)
+skip it when two passes find the result canonical on the outer ticks.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import attrgetter, lt, ne
+from operator import attrgetter, ne
 from typing import NamedTuple
 
 from .core import ONE, ZERO, FiniteSpace, Rat, Window, as_rat
@@ -54,6 +55,7 @@ from .core import ONE, ZERO, FiniteSpace, Rat, Window, as_rat
 
 _TAG = object()  # the first item of every StepFn and of no other tuple
 _Layout = namedtuple("_Layout", ("tag", "den", "ticks", "values"))  # lends StepFn its field descriptors
+_values = attrgetter("values")
 
 
 class StepFn(tuple):
@@ -171,13 +173,13 @@ def canonicalize(f: StepFn) -> StepFn:
     """The unique representative of f's almost-everywhere class.
 
     Zero-length pieces are dropped and equal-valued neighbours merged, in one
-    scan; an already canonical f (ticks strictly increasing, neighbours
-    distinct: two C-level passes) is returned as is, without the scan, so the
-    call is idempotent and allocates no second ``StepFn`` for canonical input.
-    The result has at least one piece.
+    scan; an already canonical f (ticks distinct, which sorted ticks are exactly
+    when they strictly increase, and neighbours distinct: two C-level passes) is
+    returned as is, without the scan, so the call is idempotent and allocates no
+    second ``StepFn`` for canonical input. The result has at least one piece.
     """
     ticks, values = f.ticks, f.values
-    if all(map(lt, ticks, ticks[1:])) and all(map(ne, values, values[1:])):
+    if len(set(ticks)) == len(ticks) and all(map(ne, values, values[1:])):
         return f
     return _canonical(f.den, zip(ticks[1:], values))
 
@@ -189,10 +191,14 @@ def constant(value: object) -> StepFn:
 
 def map_values(f: StepFn, fn: Callable[[object], object]) -> StepFn:
     """The canonical form of fn ∘ f, fn applied once per value; on f's own ticks, unscanned, when canonical there."""
-    ticks, values = f.ticks, tuple(map(fn, f.values))
-    if all(map(ne, values, values[1:])) and all(map(lt, ticks, ticks[1:])):  # images merge more often than ticks
-        return _trusted(f.den, ticks, values)
-    return _canonical(f.den, zip(ticks[1:], values))
+    return _on_ticks(f.den, f.ticks, tuple(map(fn, f.values)))
+
+
+def _on_ticks(den: int, ticks: tuple[int, ...], values: tuple) -> StepFn:
+    """The canonical form of checked ticks over den with these values; the ticks themselves if canonical."""
+    if all(map(ne, values, values[1:])) and len(set(ticks)) == len(ticks):  # images merge more often than ticks
+        return _trusted(den, ticks, values)
+    return _canonical(den, zip(ticks[1:], values))
 
 
 def evaluate(f: StepFn, t: int | str | Rat) -> object:
@@ -310,9 +316,14 @@ def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window:
 def diagonal(F: StepFn) -> StepFn:
     """The canonical s ↦ F(s)(s) for step-function values F(s): per outer piece of
     positive length, the inner pieces meeting it, clipped, over the lcm of every den.
-    A one-piece F or inner function (each unit's nesting) needs no search."""
+    A one-piece F or inner function (each unit's nesting) needs no search; if every
+    inner function is one piece (the inside unit), their values go on F's own ticks."""
     if len(F.values) == 1:
         return canonicalize(F.values[0])
+    if len(F.values[0].values) == 1:
+        values = tuple(chain.from_iterable(map(_values, F.values)))
+        if len(values) == len(F.values):  # no inner function is empty, so each has one piece
+            return _on_ticks(F.den, F.ticks, values)
     den = lcm(F.den, *map(attrgetter("den"), F.values))
     s = den // F.den
     pieces = []

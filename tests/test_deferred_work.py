@@ -3,6 +3,10 @@
 * ``forced_value_chain`` formats witness text only for a step that fails: a
   passing chain never calls ``format_stepfn``, and each failing step of a
   broken candidate carries exactly the text of the values it compared.
+* A unit-law sample that passes builds no witness: a passing check calls
+  neither ``format_stepfn`` nor ``_space_tag``, and a failing control's
+  witnesses come in sample order, inside before outside, each with the text
+  of the values it compared.
 * ``stepfn.constant`` builds its fixed one-piece partition without the
   validating constructor; ``hm.unit`` still goes through it.
 * A ``Window`` derives its ends' int ratios once: the iterated coordinate
@@ -25,6 +29,7 @@
 from __future__ import annotations
 
 import ast
+import random
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -96,6 +101,41 @@ def test_failing_steps_carry_the_text_of_the_compared_values(mu):
         expected, actual = compared[name]
         assert failure.expected == format_stepfn(expected)
         assert failure.actual == " / ".join(format_stepfn(a) for a in actual)
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_passing_unit_law_samples_build_no_witness(monkeypatch, seed):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("format_stepfn", "_space_tag"):
+        monkeypatch.setattr(laws, name, counting(name, getattr(laws, name)))
+    report = laws.check_unit_laws(DIAGONAL, laws.default_spaces(3), 200, seed)
+    assert report.verdict == "pass" and report.samples == 200 and calls == []
+
+
+@pytest.mark.parametrize("mu", (CONSTANT_LEFT, REMAP_LAST))
+def test_failing_unit_law_samples_report_in_sample_order_inside_first(mu):
+    spaces, seed = laws.default_spaces(3), 11
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(60):  # the trial's draws, replayed: a space, a grid, then f
+        space = rng.choice(spaces)
+        f = stepfn.random_stepfn(space, rng.randint(1, 8), rng)
+        tag = f"space({','.join(map(str, space.labels))})"
+        for side, flat in (("inside", mu(h_eta(f))), ("outside", mu(eta_h(f)))):
+            if flat != f:
+                expected.append((f"{tag} unit-{side} f={format_stepfn(f)}", format_stepfn(f), format_stepfn(flat)))
+    report = laws.check_unit_laws(mu, spaces, 60, seed)
+    assert expected and [tuple(failure) for failure in report.failures] == expected
+    # constant-left keeps the outer unit, so only its inside fails; remap-last fails both sides of a sample
+    both = [a for a, b in zip(expected, expected[1:]) if a[0].replace("unit-inside", "unit-outside") == b[0]]
+    assert bool(both) == (mu is REMAP_LAST)
 
 
 def test_constant_is_trusted_and_unit_is_validated(monkeypatch):

@@ -1,13 +1,14 @@
 """Golden reports of the single commands that exercise refinement, the metric
 at both levels, the candidates and the fiber search up to its budget's edge
 at n = 79, plus probe windows that start above 1 (up to n = 400), the chain
-on the witness spaces at n = 30..32 and at n = 100, and the lemma suites on
-a grid of 30.
+on the witness spaces at n = 30..32 and at n = 100, the lemma suites on
+a grid of 30, and both control candidates' chains at the benchmark's bases
+n = 16..32 (each exits 1, as every chain fails its unit-law precheck).
 
-Each command runs in a fresh interpreter and its stdout is pinned by sha256,
-so a change in any step-function kernel, in the canonical forms it produces
-or in the fiber search shows up as a changed hash. The hashes are tied to
-version 0.1.0, like those in ``test_golden_report``.
+Each command runs in a fresh interpreter; its exit code is pinned and its
+stdout by sha256, so a change in any step-function kernel, in the canonical
+forms it produces or in the fiber search shows up as a changed hash. The
+hashes are tied to version 0.1.0, like those in ``test_golden_report``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ GOLDEN_SHA256 = {
     "probe --n-range 380:400 --format csv": "2c978d8ef53b669a506bae35cc28682e31329fa30a1da865a8a6669b53d05d05",
     "lemmas --samples 200 --seed 4 --grid 30 --format json": "33baad1613258161ac128cf4b4e0af60d5462170f903184ee0e51b361990aa4f",
     "laws --n-range 100:100 --format json": "c64ed2b99288cf963a0d6e0b71419221c18177b0b84f35bca4a5fdd3ad12004b",
+    "laws --n-range 16:32 --samples 25 --seed 3 --candidate constant-left --format json":
+        "05b98910abff5442746129354abb41eb5ac4b2109eaffc7cbc39b537ef05132d",
+    "laws --n-range 16:32 --samples 25 --seed 3 --candidate remap-last --format json":
+        "54650ab0a460a7b5cce21dc0315606d63534ab6f4b18f4fe240db10421eef7bd",
+}
+# the exit code of each command, 0 unless named here: a control candidate's failing chains exit 1
+EXIT_CODE = {
+    "laws --n-range 16:32 --samples 25 --seed 3 --candidate constant-left --format json": 1,
+    "laws --n-range 16:32 --samples 25 --seed 3 --candidate remap-last --format json": 1,
 }
 
 
@@ -44,5 +54,5 @@ def test_command_report_matches_golden_hash(command):
     proc = subprocess.run(
         [sys.executable, "-m", "hmstep.cli", *command.split()], env=env, capture_output=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == EXIT_CODE.get(command, 0), proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256[command]

@@ -8,8 +8,9 @@ Checked here:
   attribute; the one private ``stepfn`` import in ``laws`` is ``_trusted``
   (for ``bump_fn``, whose partition on the 1/n grid is known canonical);
   inside ``stepfn`` only ``_canonical``, ``constant``, ``blocks`` (for
-  distinct neighbours) and ``map_values`` (for strictly increasing ticks and
-  distinct images, on the function's own ticks) call ``_trusted``, so every
+  distinct neighbours) and ``_on_ticks`` (for strictly increasing ticks and
+  distinct values, on a function's own ticks: ``map_values`` and the
+  one-piece-inner ``diagonal``) call ``_trusted``, so every
   other producer builds through the one merge scan; inside ``hm`` only
   ``functional_eval`` calls the ``window_ratio`` kernel, so both support
   checks decide by a coordinate;
@@ -98,7 +99,7 @@ def _callers(module: str, name: str) -> set[str]:
 
 
 def test_stepfn_builds_trusted_only_through_the_merge_scan_and_constant():
-    assert _callers("stepfn", "_trusted") == {"_canonical", "constant", "blocks", "map_values"}
+    assert _callers("stepfn", "_trusted") == {"_canonical", "constant", "blocks", "_on_ticks"}
 
 
 def test_hm_calls_the_window_kernel_only_in_functional_eval():

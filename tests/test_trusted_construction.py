@@ -9,7 +9,9 @@ function back unchanged. The fast ``canonicalize`` and ``diagonal_flatten``
 are compared with midpoint oracles that rebuild the canonical form through
 the public constructor; so are the flatten's two searchless cases, a
 one-piece outer function and one-piece inner functions (the unit's two
-nestings), on raw inputs with zero-length and mergeable pieces.
+nestings), on raw inputs with zero-length and mergeable pieces. The inside
+unit of a canonical function of several pieces flattens onto that
+function's own tick tuple, rebuilding none.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hmstep.core import FiniteSpace
@@ -29,6 +31,7 @@ from hmstep.stepfn import (
     blocks,
     canonicalize,
     constant,
+    diagonal,
     evaluate,
     map_values,
     random_stepfn,
@@ -187,11 +190,25 @@ one_piece = st.sampled_from((1, 2, 3)).map(constant)
 
 @example(StepFn((0, Fraction(1, 3), Fraction(1, 3), 1), (constant(1), constant(2), constant(1))))
 @example(StepFn((0, Fraction(1, 2), 1), (constant(1), StepFn((0, Fraction(1, 3), 1), (1, 2)))))
+# zero-length outer pieces at both ends and inside, equal neighbouring constants, and a den of 4 that merges to 2
+@example(StepFn((0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1, 1),
+                (constant(3), constant(2), constant(2), constant(3), constant(1), constant(2))))
+@example(StepFn((0, Fraction(1, 4), 1), (constant(1), constant(1))))  # one value over a den of 4
 @given(raw_stepfns(values=one_piece) | raw_stepfns(values=one_piece | raw_stepfns()))
 def test_diagonal_flatten_of_one_piece_inner_functions_matches_the_oracle(F):
     f = diagonal_flatten(F)
     assert_trusted_ok(f)
-    assert f == oracle_flatten(F)
+    assert f == diagonal(F) == oracle_flatten(F)
+
+
+@given(spaces, rngs)
+def test_diagonal_of_the_inside_unit_keeps_the_ticks_of_a_canonical_function(space, rng):
+    f = sample(space, 1, rng)
+    assume(f.pieces > 1)  # a one-piece F flattens to its one inner function, the constant
+    flat = diagonal(h_eta(f))
+    assert flat == f and flat.ticks is f.ticks
+    staircase = blocks(range(1, 27))
+    assert diagonal(h_eta(staircase)).ticks is staircase.ticks
 
 
 @given(spaces, rngs)
