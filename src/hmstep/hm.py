@@ -47,14 +47,11 @@ def _in_columns(space: FiniteSpace, points: Collection) -> bool:
 
 
 def _check_points(space: FiniteSpace, points: Iterable) -> set:
-    """The distinct points, each checked against the space: pairs on a structural
-    product by column (:func:`_in_columns`), else (or on a miss) one by one."""
+    """The distinct points, each checked against the space one by one."""
     try:
         distinct = set(points)
     except TypeError as exc:  # no space holds an unhashable value
         raise ValueError(f"an unhashable value ({exc}) is not a point of the given space") from None
-    if _in_columns(space, distinct):
-        return distinct
     for v in distinct:
         if v not in space:
             raise ValueError(f"{v!r} is not a point of the given space")

@@ -35,7 +35,8 @@ merge can drop the breakpoints that needed the larger den, so only merges
 reduce the grid. ``constant``'s partition is fixed; ``blocks`` of distinct
 neighbours skips the scan and shares one tick tuple per n; ``canonicalize``,
 ``map_values`` and ``diagonal`` of one-piece inner functions (the inside unit)
-skip it when two passes find the result canonical on the outer ticks.
+skip it when two passes find the result canonical on the outer ticks; beyond
+that and the outer unit, ``diagonal`` has no special case, and no per-inner one.
 """
 
 from __future__ import annotations
@@ -316,8 +317,8 @@ def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window:
 def diagonal(F: StepFn) -> StepFn:
     """The canonical s ↦ F(s)(s) for step-function values F(s): per outer piece of
     positive length, the inner pieces meeting it, clipped, over the lcm of every den.
-    A one-piece F or inner function (each unit's nesting) needs no search; if every
-    inner function is one piece (the inside unit), their values go on F's own ticks."""
+    Only two nestings skip that search: a one-piece F (the outside unit) and an F of
+    one-piece inner functions only (the inside unit), whose values go on F's ticks."""
     if len(F.values) == 1:
         return canonicalize(F.values[0])
     if len(F.values[0].values) == 1:
@@ -330,12 +331,9 @@ def diagonal(F: StepFn) -> StepFn:
     for u, v, g in zip(F.ticks, F.ticks[1:], F.values):
         if v > u:
             u, v, sg, ticks = u * s, v * s, den // g.den, g.ticks
-            if len(ticks) == 2:
-                pieces.append((v, g.values[0]))
-            else:
-                for i in _meeting(ticks, sg, u, v):
-                    end = ticks[i + 1] * sg
-                    pieces.append((end if end <= v else v, g.values[i]))
+            for i in _meeting(ticks, sg, u, v):
+                end = ticks[i + 1] * sg
+                pieces.append((end if end <= v else v, g.values[i]))
     return _canonical(den, pieces)
 
 

@@ -20,8 +20,9 @@
   ``support_membership_check`` only ``functional_eval``'s, as the indicator
   of x already refuses a non-point.
 * The witness towers skip the merge scan: ``nested_bumps_fn`` runs no
-  ``_merged``, and checking the n² pairs of the nested rows against the
-  product makes no ``FiniteSpace.__contains__`` call.
+  ``_merged``, and ``hm_map`` checks the n² pairs of the nested rows against
+  the product, projected at once or row by row through ``h2_map``, with no
+  ``FiniteSpace.__contains__`` call.
 * ``tower`` nests the pair kernels through closures: no ``partial`` with
   keyword arguments, which would build a kwargs dict on every inner call.
 """
@@ -38,7 +39,7 @@ import pytest
 
 from hmstep import hm, laws, stepfn, tower
 from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space
-from hmstep.hm import _check_points, d_hm, functional_eval, hm_map, pairing, support_membership_check, unit
+from hmstep.hm import d_hm, functional_eval, hm_map, pairing, support_membership_check, unit
 from hmstep.laws import build_witnesses, fixed_rational_space, forced_value_chain, nested_bumps_fn
 from hmstep.stepfn import StepFn, blocks, constant, evaluate, format_stepfn
 from hmstep.tower import (
@@ -241,7 +242,7 @@ def test_bump_tower_runs_no_merge_scan(monkeypatch):
 def test_pair_membership_makes_no_per_point_call(monkeypatch, n):
     w = build_witnesses(n)
     pairs = list(chain.from_iterable(row.values for row in w.nested_rows.values))
-    expected = _check_points(w.pairs, pairs)
+    expected = blocks(p[0] for p in pairs)
     calls = []
     contains = FiniteSpace.__contains__
 
@@ -250,10 +251,11 @@ def test_pair_membership_makes_no_per_point_call(monkeypatch, n):
         return contains(self, x)
 
     monkeypatch.setattr(FiniteSpace, "__contains__", counting)
-    assert _check_points(w.pairs, pairs) == expected and len(expected) == n * n
+    assert hm_map(w.left_proj, blocks(pairs)) == expected and len(set(pairs)) == n * n
+    assert tower.h2_map(w.equality_collapse, w.nested_rows) == w.nested_bumps
     assert calls == []
     with pytest.raises(ValueError, match=r"\(1, 0\) is not a point"):
-        _check_points(w.pairs, pairs + [(1, 0)])
+        hm_map(w.left_proj, blocks(pairs + [(1, 0)]))
     assert calls  # a foreign pair falls back to the per-point loop
 
 

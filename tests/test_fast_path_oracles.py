@@ -14,9 +14,9 @@
   ticks strictly increase and no two neighbouring images are equal); in every
   case its fields equal those of ``_canonical`` on the mapped pieces, on raw
   functions at levels 1 and 2.
-* ``hm._check_points`` checks pairs on a structural product by column; it
-  returns the same set, or raises the same ``ValueError`` text, as the
-  per-point membership loop.
+* ``hm._check_points`` checks points one by one; on a structural product it
+  returns the same set, or raises the same ``ValueError`` text, as an
+  independent copy of the per-point membership loop.
 * ``hm.hm_map`` checks the pairs of a function on a structural product by
   column, as they stand, before any set is built; it maps, or refuses with
   ``_check_points``' ``ValueError`` text, exactly as the per-point loop
@@ -102,7 +102,7 @@ def test_map_values_shares_the_ticks_exactly_when_the_scan_keeps_every_piece(cas
 
 
 def per_point(space: FiniteSpace, points) -> set:
-    """``_check_points`` without the column scan: one membership test per distinct point."""
+    """An independent copy of ``_check_points``' loop: one membership test per distinct point."""
     try:
         distinct = set(points)
     except TypeError as exc:
