@@ -15,15 +15,16 @@ The partition is stored on one integer grid: ``den`` is the least common
 denominator of the reduced breakpoints and t_i = ticks[i]/den, so kernels
 compare and measure in ints. A ``StepFn`` is a tuple whose first item is a
 private tag, so it is built and compared in C and equals no other tuple (see
-the class). Only this module reads the grid; ``laws.bump_fn`` alone builds on
-it, through ``_trusted``. ``Rat`` appears only at the edges: the
-``breakpoints`` view, the public constructor and parser, window ends and the
-cells of :func:`common_refinement`. One calling convention: the pair kernels'
-callables return exact (num, den) int pairs, and so do they, unreduced over
-their running lcm, so a level-2 caller nests them and its public call builds
-one ``Rat``. They sum in one pass as they walk the ticks and build no cells;
-the one other pair walk builds ``pairing``, whose pieces are
-``common_refinement``'s cells.
+the class). Only this module reads the grid; ``laws`` alone builds on it,
+through ``_trusted``, for ``bump_fn`` and the interior bumps of
+``nested_bumps_fn``. ``Rat`` appears only at the edges: the ``breakpoints``
+view, the public constructor and parser, window ends and the cells of
+:func:`common_refinement`. One calling convention: the pair kernels' callables
+return exact (num, den) int pairs, and so do they, unreduced over their running
+lcm, so a level-2 caller nests them and its public call builds one ``Rat``.
+They sum in one pass as they walk the ticks, f's alone against a one-piece g or
+on the full window, and build no cells; the one other pair walk builds
+``pairing``, whose pieces are ``common_refinement``'s cells.
 
 Validation happens once, at the public boundary: the ``StepFn`` constructor
 coerces and checks every partition, and :func:`parse_stepfn` checks only what
@@ -252,8 +253,24 @@ def common_refinement(f: StepFn, g: StepFn) -> list[RefinementCell]:
 
 def refinement_ratio(f: StepFn, g: StepFn, dist: Callable[[object, object], tuple[int, int]]) -> tuple[int, int]:
     """Integral of dist(f(t), g(t)) over [0, 1) as an unreduced (num, den) int pair;
-    dist maps each two unequal values to such a pair too. One two-pointer walk
-    adds length * dist over the running lcm of dist's denominators."""
+    dist maps each two unequal values to such a pair too. One walk adds length * dist
+    over the running lcm of dist's denominators: over f's pieces alone when g has one
+    piece (the probe's limit), else a two-pointer walk over both."""
+    if len(g.values) == 1:
+        c, ticks, num, q, start, i = g.values[0], f.ticks, 0, 1, 0, 0
+        for a in f.values:
+            i += 1
+            end = ticks[i]
+            if end > start:
+                if a is not c and a != c:
+                    wn, wd = dist(a, c)
+                    if q % wd:
+                        m = lcm(q, wd)
+                        num *= m // q
+                        q = m
+                    num += (end - start) * wn * (q // wd)
+                start = end
+        return num, q * f.den
     den = lcm(f.den, g.den)
     sf, sg = den // f.den, den // g.den
     ft, gt, fv, gv = f.ticks, g.ticks, f.values, g.values
@@ -288,20 +305,30 @@ def _meeting(ticks: tuple[int, ...], s: int, lo: int, hi: int) -> range:
 
 def window_ratio(f: StepFn, weight: Callable[[object], tuple[int, int]], window: Window) -> tuple[int, int]:
     """Exact mean of weight(f(t)) over the window as an unreduced (num, den) int pair,
-    weight returning one too and seeing only the pieces meeting the window. One loop
-    sums them, clipped in ticks over a den that also puts the window ends on the grid:
-    f's own den when the window is [0, 1)."""
+    weight returning one too and seeing only the pieces meeting the window: f's own
+    pieces over f's den on [0, 1), else clipped in ticks over a den that also puts the
+    window ends on the grid."""
     (an, ad), (bn, bd) = window.ratios
     ticks, values = f.ticks, f.values
-    if an == 0 and bn == bd:
-        s, lo, hi, meeting = 1, 0, f.den, range(len(values))
-    else:
-        den = lcm(f.den, ad, bd)
-        s = den // f.den
-        lo, hi = an * (den // ad), bn * (den // bd)
-        meeting = _meeting(ticks, s, lo, hi)
     num, q = 0, 1
-    for i in meeting:
+    if an == 0 and bn == bd:
+        start = i = 0
+        for v in values:  # indexed: a zip costs more than it saves on a few pieces
+            i += 1
+            end = ticks[i]
+            if end > start:
+                wn, wd = weight(v)
+                if q % wd:
+                    m = lcm(q, wd)
+                    num *= m // q
+                    q = m
+                num += (end - start) * wn * (q // wd)
+                start = end
+        return num, q * f.den
+    den = lcm(f.den, ad, bd)
+    s = den // f.den
+    lo, hi = an * (den // ad), bn * (den // bd)
+    for i in _meeting(ticks, s, lo, hi):
         start, end = ticks[i] * s, ticks[i + 1] * s
         length = (end if end < hi else hi) - (start if start > lo else lo)
         if length > 0:

@@ -24,6 +24,19 @@
   factor. Named cases: a pair holding an unhashable value, a 3-tuple, a
   2-character string over one-character labels and a ``StepFn`` are refused;
   a tuple-subclass pair of points is mapped as its plain pair is.
+* ``refinement_ratio`` against a one-piece g walks f's pieces alone; ``d_hm``
+  and ``d_hm2`` against a one-piece g (outer, inner or both) give the same
+  ``Rat`` as the same g written as two equal pieces, which takes the
+  two-pointer walk, and both match the midpoint oracles. Over discrete spaces
+  and ``fixed_rational_space()``, f raw with zero-length pieces, ``dist``
+  sees the same set of pairs on both paths: one per unequal value of a piece
+  of positive length.
+* ``window_ratio`` walks f's pieces on the full window, calling weight once
+  per piece of positive length, in order; there ``functional_eval`` equals
+  t·mean(0, t) + (1 − t)·mean(t, 1), both means taken on the clipped path,
+  and the midpoint oracle.
+* ``laws.nested_bumps_fn`` builds its interior bumps directly; its fields
+  equal those of ``blocks`` of every ``bump_fn(i, n)``, for n = 1..512.
 """
 
 from __future__ import annotations
@@ -36,11 +49,23 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hmstep.core import FiniteSpace, make_discrete_space, product_space
-from hmstep.hm import _check_points, hm_map, product_projections
-from hmstep.laws import bump_fn, fixed_rational_space
-from hmstep.stepfn import StepFn, _canonical, _merged, blocks, canonicalize, constant, map_values
+from hmstep.core import FULL_WINDOW, FiniteSpace, TestFn, Window, make_discrete_space, product_space
+from hmstep.hm import _check_points, d_hm, functional_eval, hm_map, product_projections
+from hmstep.laws import bump_fn, fixed_rational_space, nested_bumps_fn
+from hmstep.stepfn import (
+    StepFn,
+    _canonical,
+    _merged,
+    blocks,
+    canonicalize,
+    constant,
+    map_values,
+    refinement_ratio,
+    window_ratio,
+)
+from hmstep.tower import d_hm2
 
+from conftest import oracle_d_hm, oracle_d_hm2, oracle_functional
 from test_trusted_construction import raw_level2, raw_stepfns
 
 
@@ -226,3 +251,84 @@ def test_hm_map_maps_a_tuple_subclass_pair_as_its_plain_pair(space):
     assert projected(space, g) == projected(space, f)
     left, right = product_projections(space)
     assert hm_map(right, g) == hm_map(right, f)
+
+
+# discrete spaces, and one whose distances are not all 1
+METRIC_SPACES = (make_discrete_space(2), make_discrete_space(3), FiniteSpace(("a", "b")), fixed_rational_space())
+METRIC_IDS = ("2 points", "3 points", "letters", "rational")
+# a cut point strictly inside (0, 1)
+cuts = st.integers(2, 12).flatmap(lambda d: st.integers(1, d - 1).map(lambda k: Fraction(k, d)))
+
+
+def label(v: int, space: FiniteSpace) -> object:
+    return space.labels[v % space.n]
+
+
+def relabelled(f: StepFn, space: FiniteSpace) -> StepFn:
+    """f over {1, 2, 3} (the raw strategies' values) moved onto the space's labels, nested
+    values included, on f's own partition: zero-length and mergeable pieces stay."""
+    return StepFn(f.breakpoints, [relabelled(v, space) if isinstance(v, StepFn) else label(v, space) for v in f.values])
+
+
+def split(g: StepFn, t: Fraction) -> StepFn:
+    """The one-piece g written as two equal pieces cut at t: the same function, off the constant path."""
+    assert g.pieces == 1
+    return StepFn((0, t, 1), g.values * 2)
+
+
+@pytest.mark.parametrize("space", METRIC_SPACES, ids=METRIC_IDS)
+@given(data=st.data())
+def test_metrics_against_a_one_piece_side_match_the_walk_and_the_oracles(space, data):
+    f = relabelled(data.draw(raw_stepfns()), space)
+    F = relabelled(data.draw(raw_level2), space)
+    h = relabelled(data.draw(raw_stepfns()), space)
+    x = data.draw(st.sampled_from(space.labels))
+    t, u = data.draw(cuts), data.draw(cuts)
+    g = constant(x)
+    assert d_hm(space, f, g) == d_hm(space, f, split(g, t)) == oracle_d_hm(space, f, g)
+    for G, walked in (
+        (constant(g), split(constant(split(g, u)), t)),  # both levels one piece
+        (constant(h), split(constant(h), t)),  # a one-piece outer side over a raw inner function
+        (blocks((g, h)), blocks((split(g, u), h))),  # one-piece inner functions under a walked outer side
+    ):
+        assert d_hm2(space, F, G) == d_hm2(space, F, walked) == oracle_d_hm2(space, F, G)
+
+
+@pytest.mark.parametrize("space", METRIC_SPACES, ids=METRIC_IDS)
+@example(f=StepFn((0, HALF, HALF, 1), (1, 3, 1)), k=2)  # 3 is held only on a zero-length piece
+@given(f=raw_stepfns(), k=st.integers(1, 3))
+def test_dist_sees_the_same_pairs_on_both_paths_and_none_from_a_zero_length_piece(space, f, k):
+    f, x = relabelled(f, space), label(k, space)
+    seen = {}
+    for name, g in (("constant", constant(x)), ("walk", split(constant(x), Fraction(1, 3)))):
+        pairs = seen[name] = []
+        refinement_ratio(f, g, lambda a, b: pairs.append((a, b)) or space.distance(a, b).as_integer_ratio())
+    expected = {(a, x) for a in canonicalize(f).values if a != x}
+    assert set(seen["constant"]) == set(seen["walk"]) == expected
+
+
+@pytest.mark.parametrize("space", METRIC_SPACES, ids=METRIC_IDS)
+@given(data=st.data())
+def test_full_window_coordinate_splits_into_two_clipped_means(space, data):
+    f = relabelled(data.draw(raw_stepfns()), space)
+    weights = st.integers(0, 12).map(lambda k: Fraction(k, 12))
+    phi = TestFn(space, data.draw(st.lists(weights, min_size=space.n, max_size=space.n)))
+    t = data.draw(cuts)
+    full = functional_eval(phi, FULL_WINDOW, f)
+    left, right = functional_eval(phi, Window(0, t), f), functional_eval(phi, Window(t, 1), f)
+    assert full == t * left + (1 - t) * right == oracle_functional(phi, FULL_WINDOW, f)
+
+
+@example(f=StepFn((0, HALF, HALF, 1), (1, 3, 1)))  # 3 is held only on a zero-length piece
+@given(raw_stepfns())
+def test_full_window_weight_sees_only_pieces_of_positive_length(f):
+    seen = []
+    window_ratio(f, lambda v: seen.append(v) or (v, 1), FULL_WINDOW)
+    assert seen == [v for t0, t1, v in zip(f.ticks, f.ticks[1:], f.values) if t1 > t0]
+
+
+def test_nested_bumps_fn_fields_equal_blocks_of_every_bump():
+    for n in range(1, 513):
+        F = nested_bumps_fn(n)
+        assert fields(F) == fields(blocks(bump_fn(i, n) for i in range(1, n + 1)))
+        assert all(fields(g) == fields(bump_fn(i, n)) for i, g in enumerate(F.values, 1))

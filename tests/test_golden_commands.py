@@ -1,6 +1,7 @@
 """Golden reports of the single commands that exercise refinement, the metric
 at both levels, the candidates and the fiber search up to its budget's edge
-at n = 79, plus probe windows that start above 1 (up to n = 400), the chain
+at n = 79, plus probe windows that start above 1 (up to n = 400) and the
+probe budget's edge, rows 1..512, the chain
 on the witness spaces at n = 30..32 and at n = 100, the lemma suites on
 a grid of 30, and both control candidates' chains at the benchmark's bases
 n = 16..32 (each exits 1, as every chain fails its unit-law precheck).
@@ -34,6 +35,7 @@ GOLDEN_SHA256 = {
     "probe --n-range 100:116 --format csv": "0909d33d6caea4f6bee0fd5d6636614a294416fdb8b1fa2d8815a00ec4af7f31",
     "laws --n-range 30:32 --format json": "96dd86b384d021f79e96ffc9eff18133aef132b28d606bee044541902168f66f",
     "probe --n-range 380:400 --format csv": "2c978d8ef53b669a506bae35cc28682e31329fa30a1da865a8a6669b53d05d05",
+    "probe --n-range 1:512 --format csv": "1b1687c77882adc25afe3d43799af76c5c0c12ee49791c8dae982cea4a5da9b6",
     "lemmas --samples 200 --seed 4 --grid 30 --format json": "33baad1613258161ac128cf4b4e0af60d5462170f903184ee0e51b361990aa4f",
     "laws --n-range 100:100 --format json": "c64ed2b99288cf963a0d6e0b71419221c18177b0b84f35bca4a5fdd3ad12004b",
     "laws --n-range 16:32 --samples 25 --seed 3 --candidate constant-left --format json":
